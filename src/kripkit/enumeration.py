@@ -4,18 +4,40 @@ Labeled orders are produced by a one-point-extension recursion: a quasi-order
 on m points extends one on m-1 points either by adding the new point to an
 existing cluster or by inserting it as a fresh singleton between a downset
 and an upset.  Every labeled order arises exactly once.  Equivalences come
-from restricted growth strings.  Frames are then deduplicated by a canonical
-form: the minimum, over all point permutations, of the relabeled relation
-matrices.
+from restricted growth strings.
+
+Labeled frames of one size are then deduplicated in three steps:
+
+1. bucket them by a cheap isomorphism invariant (sorted per-point degree
+   signatures);
+2. check a frame against the representatives already in its bucket with an
+   explicit isomorphism search, keeping it only when none matches;
+3. give each surviving representative its exact canonical key, the minimum
+   over all point permutations of the relabeled relation rows, and replace
+   it by the canonical frame that key spells out.
+
+Classes are ordered by canonical key.  The unfiltered classes of each (kind,
+size) are computed once per process; filters apply afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations
+from operator import itemgetter
 
 from . import semantics, syntax
-from .frames import BoundExceeded, IntFrame, MS4Frame, Relation, bits, qe
+from .frames import (
+    BoundExceeded,
+    IntFrame,
+    MS4Frame,
+    Relation,
+    bits,
+    qe,
+    relation_pair,
+)
+from .functors import find_isomorphism
 
 MAX_ENUM_POINTS = 5
 CANONICAL_MAX = 7
@@ -163,60 +185,88 @@ def _labeled_frames(kind: str, n: int):
                     yield IntFrame(names, r, qe(r, e))
 
 
-def _relation_list(frame) -> tuple[Relation, Relation]:
-    if isinstance(frame, IntFrame):
-        return frame.r, frame.q
-    return frame.r, frame.e
+@cache
+def _relabelings(n: int) -> tuple:
+    """One (pick, table) pair per permutation `perm` of n points, where
+    perm[a] is the original index shown at position a.  `pick` takes the
+    rows of both relations, concatenated, in the order they are shown;
+    `table` translates a row mask into the relabeled mask."""
+    out = []
+    for perm in permutations(range(n)):
+        position = [0] * n
+        for a, x in enumerate(perm):
+            position[x] = a
+        # Rows fit in a byte (CANONICAL_MAX < 8): a bytes.translate table.
+        table = bytearray(256)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | 1 << position[low.bit_length() - 1]
+        out.append((itemgetter(*perm, *(n + x for x in perm)), bytes(table)))
+    return tuple(out)
 
 
 def canonical_form(frame) -> bytes:
     """Isomorphism-invariant key: kind, size, and the minimum over all point
-    relabelings of the packed relation rows."""
-    perm, encoding = _canonical(frame)
-    kind = b"I" if isinstance(frame, IntFrame) else b"M"
-    return kind + bytes([frame.n]) + encoding
-
-
-def _canonical(frame) -> tuple[tuple[int, ...], bytes]:
+    relabelings of the packed relation rows.  Byte `a` after the size (and
+    byte `n + a` for the second relation) is row `a` of the relabeled frame,
+    so the key spells out the class's canonical representative."""
     n = frame.n
     if n > CANONICAL_MAX:
         raise BoundExceeded(f"canonical form capped at {CANONICAL_MAX} points")
-    rels = _relation_list(frame)
-    best_perm = None
-    best = None
-    for perm in permutations(range(n)):
-        # perm[a] is the original index shown at position a.
-        encoding = bytes(
-            sum(1 << b for b in range(n) if rel.has(perm[a], perm[b]))
-            for rel in rels
-            for a in range(n)
-        )
-        if best is None or encoding < best:
-            best = encoding
-            best_perm = perm
-    return best_perm, best
+    first, second = relation_pair(frame)
+    rows = first.rows + second.rows
+    encoding = min(bytes(pick(rows)).translate(table) for pick, table in _relabelings(n))
+    kind = b"I" if isinstance(frame, IntFrame) else b"M"
+    return kind + bytes([n]) + encoding
 
 
-def _relabel(frame) -> "IntFrame | MS4Frame":
-    """Canonical representative: relabel points along the minimizing
-    permutation and rename them x0, x1, ..."""
-    perm, _ = _canonical(frame)
-    n = frame.n
+def _from_key(key: bytes) -> "IntFrame | MS4Frame":
+    """The canonical representative a key spells out, points named x0, x1, ..."""
+    n = key[1]
     names = tuple(f"x{i}" for i in range(n))
-    rels = _relation_list(frame)
-    new_rels = [
-        Relation(
-            n,
-            tuple(
-                sum(1 << b for b in range(n) if rel.has(perm[a], perm[b]))
-                for a in range(n)
-            ),
-        )
-        for rel in rels
-    ]
-    if isinstance(frame, IntFrame):
-        return IntFrame(names, new_rels[0], new_rels[1])
-    return MS4Frame(names, new_rels[0], new_rels[1])
+    first = Relation(n, tuple(key[2 : 2 + n]))
+    second = Relation(n, tuple(key[2 + n :]))
+    frame_type = IntFrame if key[:1] == b"I" else MS4Frame
+    return frame_type(names, first, second)
+
+
+def _invariant(frame) -> tuple:
+    """Isomorphism invariant: the sorted per-point signatures, where a
+    point's signature holds, for each relation, its out-degree, its
+    in-degree and the sorted out-degrees of its successors."""
+    n = frame.n
+    per_relation = []
+    for rel in relation_pair(frame):
+        out_degree = [row.bit_count() for row in rel.rows]
+        in_degree = [0] * n
+        successors = []
+        for row in rel.rows:
+            degrees = []
+            for y in range(n):
+                if row >> y & 1:
+                    in_degree[y] += 1
+                    degrees.append(out_degree[y])
+            degrees.sort()
+            successors.append(tuple(degrees))
+        per_relation.append(list(zip(out_degree, in_degree, successors)))
+    return tuple(sorted(zip(*per_relation)))
+
+
+@cache
+def _classes(kind: str, n: int) -> tuple:
+    """One canonical representative per isomorphism class of `kind` frames
+    on n points, ordered by canonical key.
+
+    Labeled frames are bucketed by `_invariant`; a frame isomorphic to a
+    representative already in its bucket is dropped, any other becomes a
+    representative.  Only representatives get a canonical key."""
+    buckets: dict[tuple, list] = {}
+    for frame in _labeled_frames(kind, n):
+        reps = buckets.setdefault(_invariant(frame), [])
+        if all(find_isomorphism(frame, rep) is None for rep in reps):
+            reps.append(frame)
+    keys = sorted(canonical_form(rep) for reps in buckets.values() for rep in reps)
+    return tuple(_from_key(key) for key in keys)
 
 
 def _casari_image_valid(frame: MS4Frame) -> bool:
@@ -241,15 +291,9 @@ def enumerate_frames(config: EnumerationConfig) -> list:
     """Frames of the requested kind with 1..max_points points, one per
     isomorphism class, filtered and deterministically ordered by size then
     canonical form."""
-    out = []
-    for n in range(1, config.max_points + 1):
-        reps: dict[bytes, object] = {}
-        for frame in _labeled_frames(config.kind, n):
-            key = canonical_form(frame)
-            if key not in reps:
-                reps[key] = _relabel(frame)
-        for key in sorted(reps):
-            frame = reps[key]
-            if _passes_filters(frame, config.filters):
-                out.append(frame)
-    return out
+    return [
+        frame
+        for n in range(1, config.max_points + 1)
+        for frame in _classes(config.kind, n)
+        if _passes_filters(frame, config.filters)
+    ]

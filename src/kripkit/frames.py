@@ -261,6 +261,13 @@ class MS4Frame:
         return self.points.index(name)
 
 
+def relation_pair(frame: IntFrame | MS4Frame) -> tuple[Relation, Relation]:
+    """The frame's two relations: (r, q) for int frames, (r, e) for ms4."""
+    if isinstance(frame, IntFrame):
+        return frame.r, frame.q
+    return frame.r, frame.e
+
+
 def _reflexive_witness(rel: Relation) -> tuple[int, ...] | None:
     for i in range(rel.n):
         if not rel.has(i, i):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frames import IntFrame, MS4Frame, Relation, bits, er, qe
+from .frames import IntFrame, MS4Frame, Relation, bits, er, qe, relation_pair
 from .morphisms import FrameMap, is_ms4_morphism
 
 
@@ -95,12 +95,6 @@ def sigma(frame: IntFrame) -> MS4Frame:
     return MS4Frame(frame.points, frame.r, frame.e_q())
 
 
-def _relations(frame) -> tuple[Relation, Relation]:
-    if isinstance(frame, IntFrame):
-        return frame.r, frame.q
-    return frame.r, frame.e
-
-
 def find_isomorphism(a, b) -> tuple[int, ...] | None:
     """First bijection (in lexicographic order of the image tuple) matching
     both relations in both directions, or None."""
@@ -108,8 +102,8 @@ def find_isomorphism(a, b) -> tuple[int, ...] | None:
         raise ValueError("frames must be of the same kind")
     if a.n != b.n:
         return None
-    rels_a = _relations(a)
-    rels_b = _relations(b)
+    rels_a = relation_pair(a)
+    rels_b = relation_pair(b)
 
     def signature(rels, x):
         return tuple(

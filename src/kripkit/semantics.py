@@ -166,9 +166,11 @@ def _truth(frame, assign: dict[str, int], desugared, memo: dict) -> int:
 
 
 def truth_set(frame, valuation: Valuation, phi: syntax.Formula) -> int:
-    """Mask of the points where `phi` holds.  The valuation must be
-    admissible for the frame kind."""
+    """Mask of the points where `phi` holds.  The valuation must be built
+    on `frame` and be admissible for the frame kind."""
     _check_pair(frame, phi)
+    if valuation.frame != frame:
+        raise ValueError("valuation belongs to a different frame")
     if not valuation.is_admissible():
         raise ValueError("valuation assigns a set that is not an r-upset")
     return _truth(frame, dict(valuation.masks), syntax.desugar(phi), {})

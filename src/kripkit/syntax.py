@@ -185,11 +185,24 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest nesting `parse` accepts: of connectives in the result, and of
+# prefixes and parentheses in the text.  Deeper input raises ParseError
+# rather than exhausting the interpreter stack, here or in the recursive
+# passes that follow (desugaring, printing, translation, evaluation).
+MAX_NESTING = 100
+
+_PREFIX = {"~": neg, "forall": forall, "exists": exists, "box": box}
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]], lang: str):
         self.tokens = tokens
         self.lang = lang
         self.pos = 0
+        self.open = 0  # prefixes and parentheses enclosing the current token
+        # Connective depth of every node built so far, by identity: `<->`
+        # shares subtrees, so walking the result could take exponential time.
+        self.depths: dict[int, int] = {}
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -199,71 +212,90 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> None:
-        got, word, position = self.tokens[self.pos]
-        if got != kind:
-            shown = word or "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", position)
-        self.pos += 1
+    def too_deep(self, position: int) -> ParseError:
+        return ParseError(f"formula nested deeper than {MAX_NESTING} levels", position)
+
+    def enter(self, position: int) -> None:
+        self.open += 1
+        if self.open > MAX_NESTING:
+            raise self.too_deep(position)
+
+    def node(self, make, position: int, *args: Formula) -> Formula:
+        depth = 1 + max(self.depths.get(id(arg), 0) for arg in args)
+        if depth > MAX_NESTING:
+            raise self.too_deep(position)
+        out = make(*args)
+        self.depths[id(out)] = depth
+        return out
 
     def formula(self) -> Formula:
-        lhs = self.implication()
-        if self.peek() == "<->":
-            self.take()
-            rhs = self.formula()
-            # A <-> B is sugar for (A -> B) & (B -> A); right associative.
-            return conj(implies(lhs, rhs), implies(rhs, lhs))
-        return lhs
+        # A <-> B is sugar for (A -> B) & (B -> A); right associative.
+        parts = [self.implication()]
+        positions = []
+        while self.peek() == "<->":
+            positions.append(self.take()[2])
+            parts.append(self.implication())
+        out = parts.pop()
+        while parts:
+            lhs, position = parts.pop(), positions.pop()
+            out = self.node(
+                conj,
+                position,
+                self.node(implies, position, lhs, out),
+                self.node(implies, position, out, lhs),
+            )
+        return out
 
     def implication(self) -> Formula:
-        lhs = self.disjunction()
-        if self.peek() == "->":
-            self.take()
-            return implies(lhs, self.implication())
-        return lhs
+        parts = [self.disjunction()]
+        positions = []
+        while self.peek() == "->":
+            positions.append(self.take()[2])
+            parts.append(self.disjunction())
+        out = parts.pop()
+        while parts:
+            out = self.node(implies, positions.pop(), parts.pop(), out)
+        return out
 
     def disjunction(self) -> Formula:
         out = self.conjunction()
         while self.peek() == "|":
-            self.take()
-            out = disj(out, self.conjunction())
+            position = self.take()[2]
+            out = self.node(disj, position, out, self.conjunction())
         return out
 
     def conjunction(self) -> Formula:
         out = self.unary()
         while self.peek() == "&":
-            self.take()
-            out = conj(out, self.unary())
+            position = self.take()[2]
+            out = self.node(conj, position, out, self.unary())
         return out
 
     def unary(self) -> Formula:
         kind, _, position = self.tokens[self.pos]
-        if kind == "~":
-            self.take()
-            return neg(self.unary())
-        if kind == "forall":
-            self.take()
-            return forall(self.unary())
-        if kind == "exists":
-            if self.lang != INT:
-                raise LanguageError("'exists' is not a modal connective", position)
-            self.take()
-            return exists(self.unary())
-        if kind == "box":
-            if self.lang != MODAL:
-                raise LanguageError("'box' is not an intuitionistic connective", position)
-            self.take()
-            return box(self.unary())
-        return self.atom()
+        if kind == "exists" and self.lang != INT:
+            raise LanguageError("'exists' is not a modal connective", position)
+        if kind == "box" and self.lang != MODAL:
+            raise LanguageError("'box' is not an intuitionistic connective", position)
+        make = _PREFIX.get(kind)
+        if make is None:
+            return self.atom()
+        self.take()
+        self.enter(position)
+        out = self.node(make, position, self.unary())
+        self.open -= 1
+        return out
 
     def atom(self) -> Formula:
         kind, word, position = self.take()
         if kind == "(":
+            self.enter(position)
             out = self.formula()
             got, _, close_pos = self.tokens[self.pos]
             if got != ")":
                 raise ParseError("unbalanced '('", close_pos)
             self.pos += 1
+            self.open -= 1
             return out
         if kind == "T":
             return top(self.lang)
@@ -276,7 +308,8 @@ class _Parser:
 
 
 def parse(text: str, lang: str = INT) -> Formula:
-    """Parse `text` in the given language ("int" or "modal")."""
+    """Parse `text` in the given language ("int" or "modal").  Formulas
+    nested deeper than MAX_NESTING are rejected with a ParseError."""
     if lang not in (INT, MODAL):
         raise ValueError(f"unknown language tag {lang!r}")
     parser = _Parser(_tokenize(text), lang)

@@ -1,11 +1,16 @@
 """Tests for frame generation up to isomorphism.
 
-The oracle here regenerates every labeled frame by filtering all relations on
-n points, groups them by a permutation-minimizing canonical key computed with
-plain tuples, and only then compares class counts with the package's
-extension-based generator.  No class count is hand-entered.
+Two oracles.  The first regenerates every labeled frame by filtering all
+relations on n points, groups them by a permutation-minimizing canonical key
+computed with plain tuples, and only then compares class counts with the
+package's extension-based generator.  No class count is hand-entered.  The
+second is the straightforward dedup path: the n!-permutation canonical key
+of every labeled frame, with the first frame seen for each key relabeled
+along its minimizing permutation.  The package's bucketed path must return
+exactly its frames, in its order.
 """
 
+from functools import cache
 from itertools import permutations
 
 import pytest
@@ -13,6 +18,8 @@ import pytest
 from kripkit.enumeration import (
     CANONICAL_MAX,
     EnumerationConfig,
+    _classes,
+    _labeled_frames,
     canonical_form,
     enumerate_frames,
     equivalences,
@@ -26,6 +33,7 @@ from kripkit.frames import (
     Relation,
     has_clean_clusters,
     is_finite_mgrz,
+    relation_pair,
 )
 from kripkit.semantics import frame_validates
 from kripkit.syntax import corpus
@@ -115,6 +123,85 @@ def chain_frame(n: int) -> IntFrame:
     return IntFrame(tuple(f"x{i}" for i in range(n)), r, r)
 
 
+# The straightforward dedup path, kept as an oracle for the bucketed one.
+
+
+def minimizing_relabeling(frame) -> tuple[tuple[int, ...], bytes]:
+    """The permutation giving the least packed relation rows, and those rows.
+    perm[a] is the original index shown at position a."""
+    n = frame.n
+    rels = relation_pair(frame)
+    best_perm, best = None, None
+    for perm in permutations(range(n)):
+        encoding = bytes(
+            sum(1 << b for b in range(n) if rel.has(perm[a], perm[b]))
+            for rel in rels
+            for a in range(n)
+        )
+        if best is None or encoding < best:
+            best, best_perm = encoding, perm
+    return best_perm, best
+
+
+def relabeled(frame, perm: tuple[int, ...]):
+    n = frame.n
+    first, second = (
+        Relation(
+            n,
+            tuple(
+                sum(1 << b for b in range(n) if rel.has(perm[a], perm[b]))
+                for a in range(n)
+            ),
+        )
+        for rel in relation_pair(frame)
+    )
+    return type(frame)(tuple(f"x{i}" for i in range(n)), first, second)
+
+
+@cache
+def dedup_oracle(kind: str, bound: int) -> tuple:
+    out = []
+    for n in range(1, bound + 1):
+        reps = {}
+        for frame in _labeled_frames(kind, n):
+            perm, key = minimizing_relabeling(frame)
+            if key not in reps:
+                reps[key] = relabeled(frame, perm)
+        out.extend(reps[key] for key in sorted(reps))
+    return tuple(out)
+
+
+FILTER_CHECKS = {
+    "m_plus": has_clean_clusters,
+    "mgrz": is_finite_mgrz,
+    "m_plus_grz": lambda f: frame_validates(
+        f, corpus("casari_translated")[0], point_cap=f.n
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, filters",
+    [
+        ("int", ()),
+        ("int", ("m_plus",)),
+        ("ms4", ()),
+        ("ms4", ("mgrz",)),
+        ("ms4", ("m_plus_grz",)),
+        ("ms4", ("mgrz", "m_plus_grz")),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "+".join(value) or "all",
+)
+def test_enumeration_matches_dedup_oracle(kind, filters):
+    expected = [
+        frame
+        for frame in dedup_oracle(kind, 4)
+        if all(FILTER_CHECKS[name](frame) for name in filters)
+    ]
+    config = EnumerationConfig(kind, 4, frozenset(filters))
+    assert enumerate_frames(config) == expected
+
+
 def test_labeled_generators_match_brute_force():
     for n in range(1, 4):
         rels = closed_relations(n)
@@ -149,13 +236,18 @@ def test_enumeration_matches_independent_oracle(kind):
 def test_enumeration_is_deterministic_and_normalized():
     for kind in ("int", "ms4"):
         config = EnumerationConfig(kind=kind, max_points=3)
+        _classes.cache_clear()
         first = enumerate_frames(config)
+        _classes.cache_clear()
         second = enumerate_frames(config)
         assert first == second
         sizes = [f.n for f in first]
         assert sizes == sorted(sizes)
         for frame in first:
             assert frame.points == tuple(f"x{i}" for i in range(frame.n))
+        # A cached answer is a fresh list: mutating it changes no later call.
+        second.clear()
+        assert enumerate_frames(config) == first
 
 
 def test_config_validation():

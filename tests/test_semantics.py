@@ -122,6 +122,17 @@ class TestIntTruth:
         with pytest.raises(ValueError):
             truth_set(two_point_frame, v, parse("p"))
 
+    def test_rejects_valuation_on_another_frame(self):
+        # {1} is an upset of the chain 0 <= 1 but not of its reverse.
+        chain = IntFrame(("a0", "a1"), chain_poset(2), chain_poset(2))
+        reversed_chain = IntFrame(
+            ("a0", "a1"), chain_poset(2).converse(), chain_poset(2).converse()
+        )
+        v = Valuation.from_masks(chain, {"p": 0b10})
+        assert truth_set(chain, v, parse("p")) == 0b10
+        with pytest.raises(ValueError, match="different frame"):
+            truth_set(reversed_chain, v, parse("p"))
+
 
 class TestMS4Truth:
     def test_classical_connectives(self, cluster_frame):

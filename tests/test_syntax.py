@@ -10,6 +10,7 @@ from kripkit.syntax import (
     INT,
     MODAL,
     Formula,
+    MAX_NESTING,
     LanguageError,
     ParseError,
     bottom,
@@ -97,6 +98,28 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert isinstance(exc.value.position, int)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda k: "~" * k + "p",
+            lambda k: "(" * k + "p" + ")" * k,
+            lambda k: " & ".join(["p"] * (k + 1)),
+            lambda k: " -> ".join(["p"] * (k + 1)),
+        ],
+    )
+    def test_nesting_limit(self, build):
+        assert parse(build(MAX_NESTING))
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(build(MAX_NESTING + 1))
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(build(3000))
+
+    def test_nesting_limit_counts_iff_sugar(self):
+        # Each <-> adds two connective levels.
+        assert parse(" <-> ".join(["p"] * (MAX_NESTING // 2 + 1)))
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(" <-> ".join(["p"] * (MAX_NESTING // 2 + 2)))
 
     def test_wrong_language_connective(self):
         with pytest.raises(LanguageError):

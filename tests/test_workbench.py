@@ -205,6 +205,14 @@ def test_cli_validate_formula_force_lifts_caps(tmp_path, capsys, two_point_frame
     assert main(["validate-formula", path, wide, "--force"]) == 0
 
 
+def test_cli_deeply_nested_formula_is_an_input_error(tmp_path, capsys, two_point_frame):
+    path = frame_file(tmp_path, two_point_frame)
+    assert main(["validate-formula", path, "~" * 3000 + "p"]) == 2
+    err = capsys.readouterr().err
+    assert "nested deeper" in err
+    assert "Traceback" not in err
+
+
 def test_cli_translate(capsys):
     phi = parse("p -> q")
     assert main(["translate", "p -> q", "--json"]) == 0
