@@ -84,7 +84,8 @@ def skeleton_map(f: FrameMap) -> FrameMap:
     for members in pi_s.classes:
         targets = {pi_t.class_index[f.image[x]] for x in members}
         # A modal morphism keeps mutually r-related points mutually related.
-        assert len(targets) == 1, "morphism split an r-cluster"
+        if len(targets) != 1:
+            raise RuntimeError("morphism split an r-cluster")
         image.append(targets.pop())
     return FrameMap(quotient_s, quotient_t, tuple(image))
 

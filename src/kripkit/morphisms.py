@@ -173,5 +173,6 @@ def lift_reduction(modal_source: MS4Frame, int_target: IntFrame, f: FrameMap) ->
     expansion = sigma(int_target)
     image = tuple(f.image[projection.class_index[x]] for x in range(modal_source.n))
     g = FrameMap(modal_source, expansion, image)
-    assert g.is_onto() and is_ms4_morphism(g), "lifting failed to produce a reduction"
+    if not (g.is_onto() and is_ms4_morphism(g)):
+        raise RuntimeError("lifting failed to produce a reduction")
     return g

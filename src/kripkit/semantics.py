@@ -5,18 +5,44 @@ brute force.  Intuitionistic letters range over r-upsets; modal letters over
 arbitrary subsets.  The search order is fixed (letters sorted, value masks
 ascending with the last letter varying fastest, points in index order), so
 "the first countermodel" is well defined and reproducible.
+
+A formula is compiled once per call into a postorder program, in which equal
+subformulas share one slot, and the program is evaluated on many valuations
+at a time: each slot holds one int per point whose bit v says whether the
+subformula holds there under valuation v of the current block (bit-slicing
+over the valuation space).  Connectives are bitwise operations, and the
+modalities and the intuitionistic implication AND (or, for `exists`, OR)
+rows over the relevant relation.  Blocks follow the search order and grow
+from a few valuations to a fixed width, so a search stops soon after its
+first refutation; within a block the lowest failing valuation and then its
+lowest failing point are reported, which is the first countermodel above.
+`truth_set` runs the same evaluator on a block of one valuation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import syntax
-from .frames import BoundExceeded, IntFrame, MS4Frame, Relation, bits, mask_of
+from .frames import (
+    BoundExceeded,
+    IntFrame,
+    MS4Frame,
+    Relation,
+    bits,
+    mask_of,
+    relation_pair,
+)
 
 LETTER_CAP = 3
 POINT_CAP = 6
+# Most valuations one countermodel search may visit, whatever the caps.  The
+# default caps allow at most 64^3 = 2^18.
+VALUATION_BUDGET = 1 << 20
+# Valuations evaluated together: blocks start small, so a formula refuted
+# early stops early, and grow to a fixed width, which bounds memory.
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 1 << 12
 
 
 def is_upset(rel: Relation, mask: int) -> bool:
@@ -84,85 +110,128 @@ def _check_pair(frame, phi: syntax.Formula) -> None:
         raise ValueError("modal frames evaluate modal formulas")
 
 
-def _truth_int(frame: IntFrame, assign: dict[str, int], phi, memo: dict) -> int:
-    out = memo.get(phi)
-    if out is not None:
-        return out
-    kind = phi.kind
-    full = (1 << frame.n) - 1
-    if kind == "letter":
-        if phi.name not in assign:
-            raise ValueError(f"valuation does not cover letter {phi.name!r}")
-        out = assign[phi.name]
-    elif kind == "top":
-        out = full
-    elif kind == "bottom":
-        out = 0
-    elif kind == "and":
-        out = _truth_int(frame, assign, phi.args[0], memo) & _truth_int(
-            frame, assign, phi.args[1], memo
-        )
-    elif kind == "or":
-        out = _truth_int(frame, assign, phi.args[0], memo) | _truth_int(
-            frame, assign, phi.args[1], memo
-        )
-    elif kind == "implies":
-        bad = _truth_int(frame, assign, phi.args[0], memo) & ~_truth_int(
-            frame, assign, phi.args[1], memo
-        )
-        out = mask_of(x for x in range(frame.n) if frame.r.rows[x] & bad == 0)
-    elif kind == "forall":
-        inner = _truth_int(frame, assign, phi.args[0], memo)
-        out = mask_of(x for x in range(frame.n) if frame.q.rows[x] & ~inner == 0)
-    else:
-        assert kind == "exists"
-        # x satisfies it when some q-predecessor of x satisfies the body.
-        out = frame.q.image(_truth_int(frame, assign, phi.args[0], memo))
-    memo[phi] = out
-    return out
+# How each connective compiles, per frame kind: (op, relation).  "all" and
+# "some" quantify over the relation's successors; "imp" with a relation is
+# the intuitionistic implication, the classical one under "all" over r.
+_OPS = {
+    IntFrame: {
+        "and": ("and", None),
+        "or": ("or", None),
+        "implies": ("imp", "r"),
+        "forall": ("all", "s"),
+        "exists": ("some", "s"),
+    },
+    MS4Frame: {
+        "and": ("and", None),
+        "or": ("or", None),
+        "implies": ("imp", None),
+        "box": ("all", "r"),
+        "forall": ("all", "s"),
+    },
+}
 
 
-def _truth_ms4(frame: MS4Frame, assign: dict[str, int], phi, memo: dict) -> int:
-    out = memo.get(phi)
-    if out is not None:
-        return out
-    kind = phi.kind
-    full = (1 << frame.n) - 1
-    if kind == "letter":
-        if phi.name not in assign:
-            raise ValueError(f"valuation does not cover letter {phi.name!r}")
-        out = assign[phi.name]
-    elif kind == "top":
-        out = full
-    elif kind == "bottom":
-        out = 0
-    elif kind == "and":
-        out = _truth_ms4(frame, assign, phi.args[0], memo) & _truth_ms4(
-            frame, assign, phi.args[1], memo
-        )
-    elif kind == "or":
-        out = _truth_ms4(frame, assign, phi.args[0], memo) | _truth_ms4(
-            frame, assign, phi.args[1], memo
-        )
-    elif kind == "implies":
-        out = (full & ~_truth_ms4(frame, assign, phi.args[0], memo)) | _truth_ms4(
-            frame, assign, phi.args[1], memo
-        )
-    elif kind == "box":
-        inner = _truth_ms4(frame, assign, phi.args[0], memo)
-        out = mask_of(x for x in range(frame.n) if frame.r.rows[x] & ~inner == 0)
-    else:
-        assert kind == "forall"
-        inner = _truth_ms4(frame, assign, phi.args[0], memo)
-        out = mask_of(x for x in range(frame.n) if frame.e.rows[x] & ~inner == 0)
-    memo[phi] = out
-    return out
+def _compile(frame, phi: syntax.Formula) -> tuple[list[tuple], tuple[str, ...]]:
+    """Postorder program of `phi` on `frame`, and the sorted letters it reads.
+
+    Instruction i computes slot i as (op, a, b): ("letter", name, None),
+    ("top"|"bottom", None, None), ("and"|"or"|"imp", slot, slot), or
+    ("all"|"some", slot, successor lists of r or of the second relation).
+    `~ A` compiles as `A -> F`.  The walk is iterative and visits each node
+    object once; structurally equal subtrees share one slot, keyed by the
+    instruction, so no Formula is ever hashed.
+    """
+    ops = _OPS[type(frame)]
+    successors = {
+        label: tuple(tuple(bits(row)) for row in rel.rows)
+        for label, rel in zip("rs", relation_pair(frame))
+    }
+    program: list[tuple] = []
+    slots: dict[tuple, int] = {}
+    done: dict[int, int] = {}  # id(node) -> slot
+    letters = set()
+
+    def emit(*instruction) -> int:
+        slot = slots.get(instruction)
+        if slot is None:
+            slot = slots[instruction] = len(program)
+            program.append(instruction)
+        return slot
+
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        pending = [arg for arg in node.args if id(arg) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        kind = node.kind
+        args = [done[id(arg)] for arg in node.args]
+        if kind == "letter":
+            letters.add(node.name)
+            slot = emit("letter", node.name, None)
+        elif kind in ("top", "bottom"):
+            slot = emit(kind, None, None)
+        else:
+            if kind == "not":
+                kind = "implies"
+                args.append(emit("bottom", None, None))
+            if kind not in ops:
+                raise ValueError(f"cannot evaluate formula kind {kind!r} on this frame")
+            op, rel = ops[kind]
+            if op in ("all", "some"):
+                slot = emit(op, args[0], successors[rel])
+            else:
+                slot = emit(op, *args)
+                if rel is not None:
+                    slot = emit("all", slot, successors[rel])
+        done[id(node)] = slot
+    return program, tuple(sorted(letters))
 
 
-def _truth(frame, assign: dict[str, int], desugared, memo: dict) -> int:
-    if isinstance(frame, IntFrame):
-        return _truth_int(frame, assign, desugared, memo)
-    return _truth_ms4(frame, assign, desugared, memo)
+def _run(program: list[tuple], n: int, inputs: dict[str, list[int]], full: int) -> list[int]:
+    """Evaluate `program` on a block of valuations; return the root's rows.
+
+    A row is one int per point: bit v is set when the subformula holds at
+    that point under valuation v of the block.  `inputs` holds each letter's
+    rows and `full` has every bit of the block set.
+    """
+    values: list[list[int]] = []
+    for op, a, b in program:
+        if op == "letter":
+            out = inputs[a]
+        elif op == "top":
+            out = [full] * n
+        elif op == "bottom":
+            out = [0] * n
+        elif op == "and":
+            out = [x & y for x, y in zip(values[a], values[b])]
+        elif op == "or":
+            out = [x | y for x, y in zip(values[a], values[b])]
+        elif op == "imp":
+            out = [full ^ x | y for x, y in zip(values[a], values[b])]
+        elif op == "all":
+            inner = values[a]
+            out = []
+            for row in b:
+                acc = full
+                for y in row:
+                    acc &= inner[y]
+                out.append(acc)
+        else:
+            # "some": y holds it when the body holds at some predecessor of y.
+            inner = values[a]
+            out = [0] * n
+            for x, row in enumerate(b):
+                if inner[x]:
+                    for y in row:
+                        out[y] |= inner[x]
+        values.append(out)
+    return values[-1]
 
 
 def truth_set(frame, valuation: Valuation, phi: syntax.Formula) -> int:
@@ -173,7 +242,13 @@ def truth_set(frame, valuation: Valuation, phi: syntax.Formula) -> int:
         raise ValueError("valuation belongs to a different frame")
     if not valuation.is_admissible():
         raise ValueError("valuation assigns a set that is not an r-upset")
-    return _truth(frame, dict(valuation.masks), syntax.desugar(phi), {})
+    program, letters = _compile(frame, phi)
+    assign = dict(valuation.masks)
+    for name in letters:
+        if name not in assign:
+            raise ValueError(f"valuation does not cover letter {name!r}")
+    inputs = {name: [mask >> x & 1 for x in range(frame.n)] for name, mask in assign.items()}
+    return mask_of(x for x, bit in enumerate(_run(program, frame.n, inputs, 1)) if bit)
 
 
 def satisfies_int(frame: IntFrame, valuation: Valuation, point: int, phi) -> bool:
@@ -212,6 +287,27 @@ class Countermodel:
         return f"fails at {name} under {parts or 'the empty valuation'}"
 
 
+def _letter_rows(space: list[int], n: int, stride: int, reach: int) -> list[int]:
+    """Per point, the bits of one letter over valuations 0, 1, ... (at least
+    `reach` of them): bit v is set when the letter's mask at valuation v
+    contains the point.  The letter's mask is space[v // stride % len(space)],
+    so the rows repeat with period len(space) * stride."""
+    period = len(space) * stride
+    run = (1 << stride) - 1
+    rows = []
+    for x in range(n):
+        row = 0
+        for digit, mask in enumerate(space):
+            if mask >> x & 1:
+                row |= run << digit * stride
+        length = period
+        while length < reach:
+            row |= row << length
+            length *= 2
+        rows.append(row)
+    return rows
+
+
 def countermodel(
     frame,
     phi: syntax.Formula,
@@ -222,10 +318,12 @@ def countermodel(
     """Search all admissible valuations for a refutation of `phi`.
 
     Returns None when the frame validates the formula.  Caps guard against
-    accidental blowups; pass larger caps explicitly to override.
+    accidental blowups; pass larger caps explicitly to override.  Whatever
+    the caps, a search over more than VALUATION_BUDGET valuations raises
+    BoundExceeded before it starts.
     """
     _check_pair(frame, phi)
-    letters = phi.letters()
+    program, letters = _compile(frame, phi)
     if frame.n > point_cap:
         raise BoundExceeded(f"frame has {frame.n} points, cap is {point_cap}")
     if len(letters) > letter_cap:
@@ -234,16 +332,43 @@ def countermodel(
         space = upsets(frame.r)
     else:
         space = subsets(frame.n)
-    desugared = syntax.desugar(phi)
-    full = (1 << frame.n) - 1
-    for combo in product(space, repeat=len(letters)):
-        assign = dict(zip(letters, combo))
-        holds = _truth(frame, assign, desugared, {})
-        failing = full & ~holds
+    total = len(space) ** len(letters)
+    if total > VALUATION_BUDGET:
+        raise BoundExceeded(
+            f"{len(space)}^{len(letters)} valuations to search, budget is {VALUATION_BUDGET}"
+        )
+    # Valuation v gives letter i the mask space[v // strides[i] % len(space)]:
+    # the order of product(space, repeat=len(letters)).
+    strides = [len(space) ** (len(letters) - 1 - i) for i in range(len(letters))]
+    periods = [len(space) * stride for stride in strides]
+    rows = [
+        _letter_rows(space, frame.n, stride, min(total, period + _MAX_BLOCK))
+        for stride, period in zip(strides, periods)
+    ]
+    base, width = 0, _FIRST_BLOCK
+    while base < total:
+        width = min(width, total - base)
+        full = (1 << width) - 1
+        inputs = {
+            name: [row >> base % period & full for row in letter_rows]
+            for name, period, letter_rows in zip(letters, periods, rows)
+        }
+        holds = _run(program, frame.n, inputs, full)
+        failing = 0
+        for row in holds:
+            failing |= full ^ row
         if failing:
-            point = next(bits(failing))
-            valuation = Valuation.from_masks(frame, assign)
-            return Countermodel(frame, valuation, point, phi)
+            # Lowest failing valuation first, then its lowest failing point.
+            v = (failing & -failing).bit_length() - 1
+            point = next(x for x, row in enumerate(holds) if not row >> v & 1)
+            index = base + v
+            assign = {
+                name: space[index // stride % len(space)]
+                for name, stride in zip(letters, strides)
+            }
+            return Countermodel(frame, Valuation.from_masks(frame, assign), point, phi)
+        base += width
+        width = min(4 * width, _MAX_BLOCK)
     return None
 
 

@@ -190,6 +190,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # rather than exhausting the interpreter stack, here or in the recursive
 # passes that follow (desugaring, printing, translation, evaluation).
 MAX_NESTING = 100
+# Most nodes the result of `parse` may have, counted as a tree.  `A <-> B`
+# shares A and B between its two implications, so every link of a `<->`
+# chain doubles the tree that the recursive passes walk; larger results
+# raise ParseError instead of hanging them.
+MAX_SIZE = 10_000
 
 _PREFIX = {"~": neg, "forall": forall, "exists": exists, "box": box}
 
@@ -200,9 +205,10 @@ class _Parser:
         self.lang = lang
         self.pos = 0
         self.open = 0  # prefixes and parentheses enclosing the current token
-        # Connective depth of every node built so far, by identity: `<->`
-        # shares subtrees, so walking the result could take exponential time.
-        self.depths: dict[int, int] = {}
+        # Connective depth and tree size of every node built so far, by
+        # identity: `<->` shares subtrees, so walking the result could take
+        # exponential time.
+        self.shapes: dict[int, tuple[int, int]] = {}
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -221,11 +227,15 @@ class _Parser:
             raise self.too_deep(position)
 
     def node(self, make, position: int, *args: Formula) -> Formula:
-        depth = 1 + max(self.depths.get(id(arg), 0) for arg in args)
+        shapes = [self.shapes.get(id(arg), (0, 1)) for arg in args]
+        depth = 1 + max(depth for depth, _ in shapes)
         if depth > MAX_NESTING:
             raise self.too_deep(position)
+        size = 1 + sum(size for _, size in shapes)
+        if size > MAX_SIZE:
+            raise ParseError(f"formula expands to more than {MAX_SIZE} nodes", position)
         out = make(*args)
-        self.depths[id(out)] = depth
+        self.shapes[id(out)] = (depth, size)
         return out
 
     def formula(self) -> Formula:
@@ -309,7 +319,8 @@ class _Parser:
 
 def parse(text: str, lang: str = INT) -> Formula:
     """Parse `text` in the given language ("int" or "modal").  Formulas
-    nested deeper than MAX_NESTING are rejected with a ParseError."""
+    nested deeper than MAX_NESTING, or with more than MAX_SIZE nodes once
+    `<->` is expanded, are rejected with a ParseError."""
     if lang not in (INT, MODAL):
         raise ValueError(f"unknown language tag {lang!r}")
     parser = _Parser(_tokenize(text), lang)
@@ -415,8 +426,9 @@ def godel_translate(phi: Formula) -> Formula:
         return box(neg(godel_translate(phi.args[0])))
     if kind == "forall":
         return box(forall(godel_translate(phi.args[0])))
-    assert kind == "exists"
-    return neg(forall(neg(godel_translate(phi.args[0]))))
+    if kind == "exists":
+        return neg(forall(neg(godel_translate(phi.args[0]))))
+    raise ValueError(f"cannot translate formula kind {kind!r}")
 
 
 def _star(phi: Formula) -> str:
@@ -511,9 +523,10 @@ def corpus_names() -> tuple[str, ...]:
 def random_formula(
     rng: random.Random, letters_pool: tuple[str, ...], max_depth: int, lang: str = INT
 ) -> Formula:
-    """Random formula over `letters_pool` with depth() <= max_depth."""
+    """Random formula over `letters_pool` with depth() <= max_depth.  An
+    empty pool gives formulas built from the constants alone."""
     quantifier = exists if lang == INT else box
-    atom_kinds = ("letter", "letter", "top", "bottom")
+    atom_kinds = ("letter", "letter", "top", "bottom") if letters_pool else ("top", "bottom")
     inner_kinds = atom_kinds + ("not", "forall", "quant", "and", "or", "implies")
     kind = rng.choice(atom_kinds if max_depth == 0 else inner_kinds)
     if kind == "letter":

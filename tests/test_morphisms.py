@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from kripkit import morphisms
 from kripkit.enumeration import EnumerationConfig, enumerate_frames
 from kripkit.frames import (
     BoundExceeded,
@@ -268,6 +269,18 @@ def test_lift_reduction_requires_clean_target(three_point_frame):
     assert not has_clean_clusters(three_point_frame)
     with pytest.raises(ValueError, match="clean clusters"):
         lift_reduction(modal, three_point_frame, ident)
+
+
+def test_lift_reduction_raises_when_the_lift_is_not_a_reduction(monkeypatch):
+    # The result check must hold under `python -O` too, so it is no assert.
+    target = chain_frame(2)
+    modal = sigma(target)
+    quotient, _ = skeleton(modal)
+    f = FrameMap(quotient, target, (0, 1))
+    assert is_reduction(lift_reduction(modal, target, f))
+    monkeypatch.setattr(morphisms, "is_ms4_morphism", lambda g: False)
+    with pytest.raises(RuntimeError, match="lifting failed"):
+        lift_reduction(modal, target, f)
 
 
 def test_lift_reduction_checks_map_endpoints():

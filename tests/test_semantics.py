@@ -1,8 +1,11 @@
 """Model checking: truth sets, valuation search, countermodels."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kripkit.enumeration import EnumerationConfig, enumerate_frames
 from kripkit.frames import (
@@ -11,6 +14,7 @@ from kripkit.frames import (
     MS4Frame,
     Relation,
     frame_to_json_dict,
+    mask_of,
 )
 from kripkit.semantics import (
     Valuation,
@@ -23,7 +27,15 @@ from kripkit.semantics import (
     truth_set,
     upsets,
 )
-from kripkit.syntax import MODAL, corpus, parse, print_formula, random_formula
+from kripkit.syntax import (
+    INT,
+    MODAL,
+    corpus,
+    desugar,
+    parse,
+    print_formula,
+    random_formula,
+)
 
 
 def chain_poset(n: int) -> Relation:
@@ -266,3 +278,135 @@ class TestCountermodel:
         full = truth_set(three_point_frame, found.valuation, phi)
         failing = [x for x in range(3) if not full >> x & 1]
         assert found.point == min(failing)
+
+    def test_unknown_kind_is_a_value_error(self, two_point_frame):
+        phi = parse("p & p")
+        object.__setattr__(phi, "kind", "xor")
+        with pytest.raises(ValueError, match="xor"):
+            countermodel(two_point_frame, phi)
+
+
+# --- differential oracle ------------------------------------------------------
+# One walk of the desugared formula per valuation, over the valuations in
+# `product` order: the evaluator `countermodel` used before it evaluated
+# whole blocks of valuations at once.
+
+
+def _oracle_truth_int(frame: IntFrame, assign: dict[str, int], phi, memo: dict) -> int:
+    out = memo.get(phi)
+    if out is not None:
+        return out
+    kind = phi.kind
+    full = (1 << frame.n) - 1
+    if kind == "letter":
+        if phi.name not in assign:
+            raise ValueError(f"valuation does not cover letter {phi.name!r}")
+        out = assign[phi.name]
+    elif kind == "top":
+        out = full
+    elif kind == "bottom":
+        out = 0
+    elif kind == "and":
+        out = _oracle_truth_int(frame, assign, phi.args[0], memo) & _oracle_truth_int(
+            frame, assign, phi.args[1], memo
+        )
+    elif kind == "or":
+        out = _oracle_truth_int(frame, assign, phi.args[0], memo) | _oracle_truth_int(
+            frame, assign, phi.args[1], memo
+        )
+    elif kind == "implies":
+        bad = _oracle_truth_int(frame, assign, phi.args[0], memo) & ~_oracle_truth_int(
+            frame, assign, phi.args[1], memo
+        )
+        out = mask_of(x for x in range(frame.n) if frame.r.rows[x] & bad == 0)
+    elif kind == "forall":
+        inner = _oracle_truth_int(frame, assign, phi.args[0], memo)
+        out = mask_of(x for x in range(frame.n) if frame.q.rows[x] & ~inner == 0)
+    else:
+        assert kind == "exists"
+        # x satisfies it when some q-predecessor of x satisfies the body.
+        out = frame.q.image(_oracle_truth_int(frame, assign, phi.args[0], memo))
+    memo[phi] = out
+    return out
+
+
+def _oracle_truth_ms4(frame: MS4Frame, assign: dict[str, int], phi, memo: dict) -> int:
+    out = memo.get(phi)
+    if out is not None:
+        return out
+    kind = phi.kind
+    full = (1 << frame.n) - 1
+    if kind == "letter":
+        if phi.name not in assign:
+            raise ValueError(f"valuation does not cover letter {phi.name!r}")
+        out = assign[phi.name]
+    elif kind == "top":
+        out = full
+    elif kind == "bottom":
+        out = 0
+    elif kind == "and":
+        out = _oracle_truth_ms4(frame, assign, phi.args[0], memo) & _oracle_truth_ms4(
+            frame, assign, phi.args[1], memo
+        )
+    elif kind == "or":
+        out = _oracle_truth_ms4(frame, assign, phi.args[0], memo) | _oracle_truth_ms4(
+            frame, assign, phi.args[1], memo
+        )
+    elif kind == "implies":
+        out = (full & ~_oracle_truth_ms4(frame, assign, phi.args[0], memo)) | (
+            _oracle_truth_ms4(frame, assign, phi.args[1], memo)
+        )
+    elif kind == "box":
+        inner = _oracle_truth_ms4(frame, assign, phi.args[0], memo)
+        out = mask_of(x for x in range(frame.n) if frame.r.rows[x] & ~inner == 0)
+    else:
+        assert kind == "forall"
+        inner = _oracle_truth_ms4(frame, assign, phi.args[0], memo)
+        out = mask_of(x for x in range(frame.n) if frame.e.rows[x] & ~inner == 0)
+    memo[phi] = out
+    return out
+
+
+def oracle_truth(frame, assign: dict[str, int], phi) -> int:
+    if isinstance(frame, IntFrame):
+        return _oracle_truth_int(frame, assign, desugar(phi), {})
+    return _oracle_truth_ms4(frame, assign, desugar(phi), {})
+
+
+def oracle_countermodel(frame, phi):
+    """(valuation masks, point) of the first countermodel, or None."""
+    letters = phi.letters()
+    space = upsets(frame.r) if isinstance(frame, IntFrame) else subsets(frame.n)
+    full = (1 << frame.n) - 1
+    for combo in product(space, repeat=len(letters)):
+        assign = dict(zip(letters, combo))
+        failing = full & ~oracle_truth(frame, assign, phi)
+        if failing:
+            return tuple(sorted(assign.items())), (failing & -failing).bit_length() - 1
+    return None
+
+
+SMALL_FRAMES = enumerate_frames(EnumerationConfig("int", 3)) + enumerate_frames(
+    EnumerationConfig("ms4", 3)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    frame=st.sampled_from(SMALL_FRAMES),
+    letters=st.integers(0, 3),
+    depth=st.integers(0, 5),
+    seed=st.integers(0, 2**32),
+)
+def test_countermodel_matches_per_valuation_oracle(frame, letters, depth, seed):
+    lang = INT if isinstance(frame, IntFrame) else MODAL
+    phi = random_formula(random.Random(seed), ("p", "q", "r")[:letters], depth, lang)
+    expected = oracle_countermodel(frame, phi)
+    found = countermodel(frame, phi)
+    if expected is None:
+        assert found is None
+        return
+    assert found is not None
+    assert (found.valuation.masks, found.point) == expected
+    assign = dict(found.valuation.masks)
+    assert truth_set(frame, found.valuation, phi) == oracle_truth(frame, assign, phi)

@@ -11,6 +11,7 @@ from kripkit.syntax import (
     MODAL,
     Formula,
     MAX_NESTING,
+    MAX_SIZE,
     LanguageError,
     ParseError,
     bottom,
@@ -116,10 +117,30 @@ class TestParser:
             parse(build(3000))
 
     def test_nesting_limit_counts_iff_sugar(self):
-        # Each <-> adds two connective levels.
-        assert parse(" <-> ".join(["p"] * (MAX_NESTING // 2 + 1)))
+        # Each <-> adds two connective levels, here on top of a conjunction
+        # chain of depth k.  (A chain of <-> reaches MAX_SIZE long before
+        # MAX_NESTING.)
+        def build(k):
+            return "p <-> " + " & ".join(["p"] * (k + 1))
+
+        assert parse(build(MAX_NESTING - 2))
         with pytest.raises(ParseError, match="nested deeper"):
-            parse(" <-> ".join(["p"] * (MAX_NESTING // 2 + 2)))
+            parse(build(MAX_NESTING - 1))
+
+    def test_size_limit_stops_iff_chains(self):
+        # Each <-> link doubles the expanded tree: the longest chain that
+        # parses stays within MAX_SIZE, one more link does not parse.
+        links = 1
+        while True:
+            text = " <-> ".join(["p"] * (links + 1))
+            try:
+                phi = parse(text)
+            except ParseError as exc:
+                assert "expands to more than" in str(exc)
+                break
+            assert sum(1 for _ in phi.subformulas()) <= MAX_SIZE
+            links += 1
+        assert 1 < links < MAX_NESTING // 2
 
     def test_wrong_language_connective(self):
         with pytest.raises(LanguageError):
@@ -230,6 +251,13 @@ class TestGodelTranslation:
     def test_rejects_modal_input(self):
         with pytest.raises(ValueError):
             godel_translate(parse("p", MODAL))
+
+    def test_unknown_kind_is_a_value_error(self):
+        # An explicit error, not an assert that `python -O` would strip.
+        phi = parse("p & p")
+        object.__setattr__(phi, "kind", "xor")
+        with pytest.raises(ValueError, match="xor"):
+            godel_translate(phi)
 
     @given(formulas(INT))
     def test_output_is_modal_with_same_letters(self, phi):

@@ -2,12 +2,13 @@
 and the command line."""
 
 import json
+import time
 
 import pytest
 
 from kripkit import workbench
 from kripkit.cli import main
-from kripkit.frames import InvalidFrameError, validate_int_frame
+from kripkit.frames import InvalidFrameError, MS4Frame, Relation, validate_int_frame
 from kripkit.functors import sigma
 from kripkit.syntax import corpus, godel_translate, parse, print_formula, star_translate
 from kripkit.workbench import (
@@ -210,6 +211,32 @@ def test_cli_deeply_nested_formula_is_an_input_error(tmp_path, capsys, two_point
     assert main(["validate-formula", path, "~" * 3000 + "p"]) == 2
     err = capsys.readouterr().err
     assert "nested deeper" in err
+    assert "Traceback" not in err
+
+
+def test_cli_iff_chain_is_an_input_error(tmp_path, capsys, two_point_frame):
+    # Each <-> link doubles the expanded tree; 40 links would never finish.
+    path = frame_file(tmp_path, two_point_frame)
+    start = time.perf_counter()
+    assert main(["validate-formula", path, " <-> ".join(["p"] * 41)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "expands to more than" in err
+    assert "Traceback" not in err
+
+
+def test_cli_force_keeps_the_valuation_budget(tmp_path, capsys):
+    # 4096 subsets per letter: 2^36 valuations, far above the budget.
+    n = 12
+    discrete = MS4Frame(
+        tuple(f"x{i}" for i in range(n)), Relation.identity(n), Relation.identity(n)
+    )
+    path = frame_file(tmp_path, discrete)
+    start = time.perf_counter()
+    assert main(["validate-formula", path, "p & q -> r", "--force"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "budget" in err
     assert "Traceback" not in err
 
 
