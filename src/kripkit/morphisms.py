@@ -6,16 +6,33 @@ equals the successor set of the image.  Intuitionistic frame morphisms need
 that for both relations plus a converse condition tying the coarse relation
 of the target back through r-predecessors; modal frame morphisms need it for
 r and for the equivalence.  A reduction is an onto morphism.
+
+Morphisms and reductions between two frames are found by backtracking in
+the style of VF2 (Cordella et al., IEEE TPAMI 2004): source points are
+assigned in index order, target values are tried in ascending order, so maps
+come out in lexicographic order of the image tuple.  A branch is cut as soon
+as an assigned pair breaks the forth condition of either relation, a point
+whose successors are all assigned breaks the back condition, or (for
+reductions) too few source points remain to hit every target point.  Every
+morphism passes those tests, and each complete map is confirmed by the exact
+predicate, so the search finds exactly the morphisms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from typing import Sequence
 
-from .frames import BoundExceeded, IntFrame, MS4Frame, Relation, bits
+from .frames import BoundExceeded, IntFrame, MS4Frame, Relation, bits, relation_pair
 
 REDUCTION_SOURCE_CAP = 6
+
+
+def _image_of(mask: int, image: Sequence[int]) -> int:
+    out = 0
+    for i in bits(mask):
+        out |= 1 << image[i]
+    return out
 
 
 @dataclass(frozen=True)
@@ -39,10 +56,7 @@ class FrameMap:
         return self.image[i]
 
     def apply_mask(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= 1 << self.image[i]
-        return out
+        return _image_of(mask, self.image)
 
     def is_onto(self) -> bool:
         return set(self.image) == set(range(self.target.n))
@@ -131,21 +145,88 @@ def is_reduction(f: FrameMap) -> bool:
     return is_ms4_morphism(f)
 
 
+def _search(source, target, onto: bool) -> list[FrameMap]:
+    """Morphisms from `source` to `target` (onto ones only when `onto`), in
+    lexicographic order of the image tuple."""
+    if type(source) is not type(target):
+        raise ValueError("frames must be of the same kind")
+    n, m = source.n, target.n
+    is_morphism = is_mipc_morphism if isinstance(source, IntFrame) else is_ms4_morphism
+    everything = (1 << m) - 1
+    # Forth, per point x and relation: the earlier predecessors and
+    # successors of x, the target points its own loop allows, and the
+    # target rows.
+    forth = []
+    # Back, per point x: the (y, source row, target rows) whose row is fully
+    # assigned once x is.
+    back = [[] for _ in range(n)]
+    for rel_s, rel_t in zip(relation_pair(source), relation_pair(target)):
+        loops = sum(1 << v for v in range(m) if rel_t.has(v, v))
+        for y, row in enumerate(rel_s.rows):
+            back[max(y, row.bit_length() - 1)].append((y, row, rel_t.rows))
+        forth.append(
+            [
+                (
+                    rel_s.preimage(1 << x) & ((1 << x) - 1),
+                    rel_s.rows[x] & ((1 << x) - 1),
+                    loops if rel_s.has(x, x) else everything,
+                    rel_t.rows,
+                )
+                for x in range(n)
+            ]
+        )
+    image = [0] * n
+    out = []
+
+    def extend(x: int, hit: int) -> None:
+        if x == n:
+            f = FrameMap(source, target, tuple(image))
+            if is_morphism(f):
+                out.append(f)
+            return
+        allowed = everything
+        needs = []
+        for per_point in forth:
+            preds, succs, self_ok, rows = per_point[x]
+            allowed &= self_ok
+            for y in bits(preds):
+                allowed &= rows[image[y]]
+            needs.append((_image_of(succs, image), rows))
+        for v in bits(allowed):
+            if any(reached & ~rows[v] for reached, rows in needs):
+                continue
+            image[x] = v
+            if any(
+                rows[image[y]] != _image_of(row, image) for y, row, rows in back[x]
+            ):
+                continue
+            seen = hit | 1 << v
+            if onto and m - seen.bit_count() > n - 1 - x:
+                continue
+            extend(x + 1, seen)
+
+    if not onto or m <= n:
+        extend(0, 0)
+    return out
+
+
+def enumerate_morphisms(source, target) -> list[FrameMap]:
+    """All morphisms from `source` to `target`, in lexicographic order of the
+    image tuple.  Found by the pruned search described above."""
+    return _search(source, target, onto=False)
+
+
 def enumerate_reductions(source, target) -> list[FrameMap]:
     """All reductions from `source` onto `target`, in lexicographic order of
-    the image tuple.  Exhaustive over target^source, so the source is capped."""
+    the image tuple.  Found by the pruned search described above, with the
+    onto bound on; the source stays capped at `REDUCTION_SOURCE_CAP` points."""
     if type(source) is not type(target):
         raise ValueError("frames must be of the same kind")
     if source.n > REDUCTION_SOURCE_CAP:
         raise BoundExceeded(
             f"source has {source.n} points, cap is {REDUCTION_SOURCE_CAP}"
         )
-    out = []
-    for image in product(range(target.n), repeat=source.n):
-        f = FrameMap(source, target, image)
-        if f.is_onto() and is_reduction(f):
-            out.append(f)
-    return out
+    return _search(source, target, onto=True)
 
 
 def lift_reduction(modal_source: MS4Frame, int_target: IntFrame, f: FrameMap) -> FrameMap:

@@ -22,6 +22,7 @@ lowest failing point are reported, which is the first countermodel above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import syntax
 from .frames import (
@@ -50,22 +51,21 @@ def is_upset(rel: Relation, mask: int) -> bool:
     return rel.image(mask) & ~mask == 0
 
 
-def _characteristic_key(n: int):
-    # Lexicographic order of characteristic vectors, point 0 most significant.
-    return lambda mask: tuple(mask >> i & 1 for i in range(n))
+@cache
+def _characteristic_order(n: int) -> tuple[int, ...]:
+    # Lexicographic order of characteristic vectors, point 0 most significant:
+    # the k-th mask is k with its n bits reversed.
+    return tuple(sum(1 << (n - 1 - i) for i in bits(k)) for k in range(1 << n))
 
 
 def subsets(n: int) -> list[int]:
     """All subset masks in characteristic-vector order."""
-    return sorted(range(1 << n), key=_characteristic_key(n))
+    return list(_characteristic_order(n))
 
 
 def upsets(rel: Relation) -> list[int]:
     """All upset masks of `rel`, in characteristic-vector order."""
-    return sorted(
-        (m for m in range(1 << rel.n) if is_upset(rel, m)),
-        key=_characteristic_key(rel.n),
-    )
+    return [m for m in _characteristic_order(rel.n) if is_upset(rel, m)]
 
 
 @dataclass(frozen=True)

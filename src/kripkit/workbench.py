@@ -12,7 +12,6 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable
 
 from . import semantics, syntax
@@ -32,6 +31,7 @@ from .frames import (
 from .functors import sigma, skeleton
 from .morphisms import (
     FrameMap,
+    enumerate_morphisms,
     enumerate_reductions,
     is_mipc_morphism,
     is_ms4_morphism,
@@ -234,16 +234,13 @@ def _run_sigma_functor(bound: int) -> tuple[int, list[str]]:
     failures = []
     for source in clean:
         for target in clean:
-            for image in product(range(target.n), repeat=source.n):
-                f = FrameMap(source, target, image)
-                if not is_mipc_morphism(f):
-                    continue
+            for f in enumerate_morphisms(source, target):
                 instances += 1
-                expanded = FrameMap(sigma(source), sigma(target), image)
+                expanded = FrameMap(sigma(source), sigma(target), f.image)
                 if not is_ms4_morphism(expanded):
                     failures.append(
                         f"{_frame_label(source)} -> {_frame_label(target)} "
-                        f"via {list(image)}: expansion is not a modal morphism"
+                        f"via {list(f.image)}: expansion is not a modal morphism"
                     )
     # The construction genuinely needs clean clusters: the canonical witness
     # map is a morphism whose expansion fails.
@@ -266,7 +263,7 @@ def _run_lifting(bound: int) -> tuple[int, list[str]]:
                 instances += 1
                 try:
                     g = lift_reduction(modal, target, f)
-                except (AssertionError, ValueError) as exc:
+                except (RuntimeError, ValueError) as exc:
                     failures.append(
                         f"{_frame_label(modal)} -> {_frame_label(target)} "
                         f"via {list(f.image)}: {exc}"

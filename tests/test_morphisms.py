@@ -4,6 +4,7 @@ The morphism conditions are re-derived here with plain set arithmetic so the
 bitmask implementations have an independent oracle to answer to.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -16,11 +17,13 @@ from kripkit.frames import (
     MS4Frame,
     Relation,
     has_clean_clusters,
+    relation_pair,
 )
 from kripkit.functors import sigma, skeleton, skeleton_map
 from kripkit.morphisms import (
     FrameMap,
     condition4_eform,
+    enumerate_morphisms,
     enumerate_reductions,
     is_mipc_morphism,
     is_ms4_morphism,
@@ -226,6 +229,57 @@ def test_enumerate_reductions_matches_brute_force(three_point_frame, two_point_f
         if f.is_onto() and int_morphism_oracle(f)
     ]
     assert found == expected
+
+
+def morphism_oracle(f: FrameMap) -> bool:
+    if isinstance(f.source, IntFrame):
+        return int_morphism_oracle(f)
+    return p_morphism_oracle(f, "r") and p_morphism_oracle(f, "e")
+
+
+def disjoint_union(a, b):
+    points = tuple(f"a{i}" for i in range(a.n)) + tuple(f"b{i}" for i in range(b.n))
+    relations = (
+        Relation(a.n + b.n, rel_a.rows + tuple(row << a.n for row in rel_b.rows))
+        for rel_a, rel_b in zip(relation_pair(a), relation_pair(b))
+    )
+    return type(a)(points, *relations)
+
+
+def assert_search_matches_oracle(source, target) -> None:
+    """The pruned searches return exactly the brute-force maps, in the
+    lexicographic order of the scan over all maps."""
+    morphisms_found = [f for f in all_maps(source, target) if morphism_oracle(f)]
+    assert [f.image for f in enumerate_morphisms(source, target)] == [
+        f.image for f in morphisms_found
+    ]
+    assert [f.image for f in enumerate_reductions(source, target)] == [
+        f.image for f in morphisms_found if f.is_onto()
+    ]
+
+
+@pytest.mark.parametrize("kind", ["int", "ms4"])
+def test_search_matches_brute_force_on_small_frames(kind):
+    frames = enumerate_frames(EnumerationConfig(kind=kind, max_points=3))
+    for source in frames:
+        for target in frames:
+            assert_search_matches_oracle(source, target)
+
+
+@pytest.mark.parametrize("kind", ["int", "ms4"])
+def test_search_matches_brute_force_on_disjoint_unions(kind):
+    # Five- and six-point sources: a+a onto a always has the fold, a+b onto
+    # a random frame seldom has a reduction but often has morphisms.
+    rng = random.Random(f"search-{kind}")
+    frames = enumerate_frames(EnumerationConfig(kind=kind, max_points=3))
+    three = [f for f in frames if f.n == 3]
+    for _ in range(6):
+        a = rng.choice(three)
+        folded = disjoint_union(a, a)
+        assert enumerate_reductions(folded, a)
+        assert_search_matches_oracle(folded, a)
+        b = rng.choice([f for f in frames if f.n >= 2 and f != a])
+        assert_search_matches_oracle(disjoint_union(a, b), rng.choice(frames))
 
 
 def test_enumerate_self_reductions_contain_identity():

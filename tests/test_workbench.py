@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from kripkit import workbench
+from kripkit import morphisms, workbench
 from kripkit.cli import main
 from kripkit.frames import InvalidFrameError, MS4Frame, Relation, validate_int_frame
 from kripkit.functors import sigma
@@ -327,6 +327,17 @@ def test_cli_experiment_failure_display(capsys, monkeypatch):
     assert lines[0].startswith("FAIL broken: 9 instances,")
     assert [line.strip() for line in lines[1:6]] == ["w0", "w1", "w2", "w3", "w4"]
     assert lines[6].strip() == "... and 2 more"
+
+
+def test_cli_lifting_failure_is_reported(capsys, monkeypatch):
+    # A lift that fails its own check is a failed instance with a witness,
+    # not an escaping RuntimeError.
+    monkeypatch.setattr(morphisms, "is_ms4_morphism", lambda g: False)
+    assert main(["experiment", "lifting", "--bound", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL lifting:")
+    assert "lifting failed to produce a reduction" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cli_usage_errors(capsys):
