@@ -6,18 +6,16 @@ existing cluster or by inserting it as a fresh singleton between a downset
 and an upset.  Every labeled order arises exactly once.  Equivalences come
 from restricted growth strings.
 
-Labeled frames of one size are then deduplicated in three steps:
-
-1. bucket them by a cheap isomorphism invariant (sorted per-point degree
-   signatures);
-2. check a frame against the representatives already in its bucket with an
-   explicit isomorphism search, keeping it only when none matches;
-3. give each surviving representative its exact canonical key, the minimum
-   over all point permutations of the relabeled relation rows, and replace
-   it by the canonical frame that key spells out.
-
-Classes are ordered by canonical key.  The unfiltered classes of each (kind,
-size) are computed once per process; filters apply afterwards.
+Classes are generated without labeled frames.  A frame's canonical key is
+the least relabeling of its first relation's rows followed by its second's
+(q on int frames, e on ms4 frames), so over a canonical order R it is R
+followed by the least image of the second relation under R's automorphisms.
+One canonical partial order (int) or quasi-order (ms4) per class, with its
+automorphisms, comes from canonicalizing the one-point extensions of the
+classes one point smaller; each is paired with every commuting equivalence.
+The distinct keys, sorted, spell out the class representatives.  The
+unfiltered classes of each (kind, size) are computed once per process;
+filters apply afterwards.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from .frames import (
     qe,
     relation_pair,
 )
-from .functors import find_isomorphism
 
 MAX_ENUM_POINTS = 5
 CANONICAL_MAX = 7
@@ -99,32 +96,37 @@ def _upsets(rel: Relation) -> list[int]:
     return [m for m in range(1 << rel.n) if rel.image(m) & ~m == 0]
 
 
+def _extensions(rel: Relation, with_clusters: bool):
+    """Every order on one more point whose restriction to rel's points is
+    rel, each exactly once."""
+    if with_clusters:
+        # One extension per existing cluster, keyed by its least member.
+        seen = 0
+        for x in range(rel.n):
+            if seen >> x & 1:
+                continue
+            seen |= rel.rows[x] & rel.preimage(1 << x)
+            yield _extend_with_cluster_point(rel, x)
+    upsets = _upsets(rel)
+    for down in _downsets(rel):
+        for up in upsets:
+            if down & up:
+                continue
+            # Transitivity through the new point: down x up must be already
+            # related.
+            if any(up & ~rel.rows[x] for x in bits(down)):
+                continue
+            yield _extend_with_singleton(rel, down, up)
+
+
 def _orders(n: int, with_clusters: bool) -> list[Relation]:
     if n == 0:
         return [Relation(0, ())]
-    out = []
-    for rel in _orders(n - 1, with_clusters):
-        if with_clusters:
-            # One extension per existing cluster, keyed by its least member.
-            seen = 0
-            for x in range(rel.n):
-                if seen >> x & 1:
-                    continue
-                cluster = rel.rows[x] & rel.preimage(1 << x)
-                seen |= cluster
-                out.append(_extend_with_cluster_point(rel, x))
-        downsets = _downsets(rel)
-        upsets = _upsets(rel)
-        for down in downsets:
-            for up in upsets:
-                if down & up:
-                    continue
-                # Transitivity through the new point: down x up must be
-                # already related.
-                if any(up & ~rel.rows[x] for x in bits(down)):
-                    continue
-                out.append(_extend_with_singleton(rel, down, up))
-    return out
+    return [
+        ext
+        for rel in _orders(n - 1, with_clusters)
+        for ext in _extensions(rel, with_clusters)
+    ]
 
 
 def partial_orders(n: int) -> list[Relation]:
@@ -165,24 +167,6 @@ def commuting(r: Relation, e: Relation) -> bool:
     return all(
         r.image(e.rows[x]) & ~e.image(r.rows[x]) == 0 for x in range(r.n)
     )
-
-
-def _labeled_frames(kind: str, n: int):
-    names = tuple(f"x{i}" for i in range(n))
-    eqs = equivalences(n)
-    if kind == "ms4":
-        for r in quasi_orders(n):
-            for e in eqs:
-                if commuting(r, e):
-                    yield MS4Frame(names, r, e)
-    else:
-        # With r a partial order, pairing r with a commuting equivalence e
-        # and coarsening to q = r-then-e yields each valid (r, q) exactly
-        # once: e is recovered from q as its cluster equivalence.
-        for r in partial_orders(n):
-            for e in eqs:
-                if commuting(r, e):
-                    yield IntFrame(names, r, qe(r, e))
 
 
 @cache
@@ -230,26 +214,34 @@ def _from_key(key: bytes) -> "IntFrame | MS4Frame":
     return frame_type(names, first, second)
 
 
-def _invariant(frame) -> tuple:
-    """Isomorphism invariant: the sorted per-point signatures, where a
-    point's signature holds, for each relation, its out-degree, its
-    in-degree and the sorted out-degrees of its successors."""
-    n = frame.n
-    per_relation = []
-    for rel in relation_pair(frame):
-        out_degree = [row.bit_count() for row in rel.rows]
-        in_degree = [0] * n
-        successors = []
-        for row in rel.rows:
-            degrees = []
-            for y in range(n):
-                if row >> y & 1:
-                    in_degree[y] += 1
-                    degrees.append(out_degree[y])
-            degrees.sort()
-            successors.append(tuple(degrees))
-        per_relation.append(list(zip(out_degree, in_degree, successors)))
-    return tuple(sorted(zip(*per_relation)))
+@cache
+def _order_classes(n: int, with_clusters: bool) -> tuple:
+    """One canonical order per isomorphism class of partial orders (or, with
+    clusters, quasi-orders) on n points, ascending, each paired with its
+    automorphisms: the `_relabelings(n)` entries that leave it unchanged."""
+    if n == 0:
+        return ((Relation(0, ()), ()),)
+    relabelings = _relabelings(n)
+    keys = set()
+    for rel, _ in _order_classes(n - 1, with_clusters):
+        for ext in _extensions(rel, with_clusters):
+            # The rows given twice, as both relations: the first n bytes of
+            # the least relabeling are the order's own canonical rows.
+            rows = ext.rows * 2
+            keys.add(
+                min([bytes(pick(rows)).translate(table) for pick, table in relabelings])
+            )
+    return tuple(
+        (
+            Relation(n, tuple(key[:n])),
+            tuple(
+                (pick, table)
+                for pick, table in relabelings
+                if bytes(pick(key)).translate(table) == key
+            ),
+        )
+        for key in sorted(keys)
+    )
 
 
 @cache
@@ -257,16 +249,21 @@ def _classes(kind: str, n: int) -> tuple:
     """One canonical representative per isomorphism class of `kind` frames
     on n points, ordered by canonical key.
 
-    Labeled frames are bucketed by `_invariant`; a frame isomorphic to a
-    representative already in its bucket is dropped, any other becomes a
-    representative.  Only representatives get a canonical key."""
-    buckets: dict[tuple, list] = {}
-    for frame in _labeled_frames(kind, n):
-        reps = buckets.setdefault(_invariant(frame), [])
-        if all(find_isomorphism(frame, rep) is None for rep in reps):
-            reps.append(frame)
-    keys = sorted(canonical_form(rep) for reps in buckets.values() for rep in reps)
-    return tuple(_from_key(key) for key in keys)
+    Each canonical order R is paired with every commuting equivalence; the
+    pair's key, equal to `canonical_form` of the frame, is R's rows followed
+    by the least relabeled second relation over R's automorphisms."""
+    prefix = (b"I" if kind == "int" else b"M") + bytes([n])
+    eqs = equivalences(n)
+    keys = set()
+    for r, automorphisms in _order_classes(n, with_clusters=kind == "ms4"):
+        for e in eqs:
+            if not commuting(r, e):
+                continue
+            rows = r.rows + (qe(r, e) if kind == "int" else e).rows
+            keys.add(
+                min(bytes(pick(rows)).translate(table) for pick, table in automorphisms)
+            )
+    return tuple(_from_key(prefix + key) for key in sorted(keys))
 
 
 def _casari_image_valid(frame: MS4Frame) -> bool:

@@ -211,15 +211,15 @@ def _run_e_eqe(bound: int) -> tuple[int, list[str]]:
 
 
 def _run_translation(bound: int) -> tuple[int, list[str]]:
-    pool = translation_formulas()
+    pool = [(phi, syntax.godel_translate(phi)) for phi in translation_formulas()]
     instances = 0
     failures = []
     for frame in _enumerate("ms4", bound):
         quotient, _ = skeleton(frame)
-        for phi in pool:
+        for phi, image in pool:
             instances += 1
             direct = semantics.frame_validates(quotient, phi)
-            translated = semantics.frame_validates(frame, syntax.godel_translate(phi))
+            translated = semantics.frame_validates(frame, image)
             if direct != translated:
                 failures.append(
                     f"{_frame_label(frame)}: {syntax.print_formula(phi)}: "
@@ -404,7 +404,10 @@ def run_all(bound: int | None = None) -> list[ExperimentReport]:
 def load_frame(path: str, raw: bool = False) -> IntFrame | MS4Frame:
     """Read a frame JSON file; validates frame conditions unless `raw`."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     return frame_from_json_dict(data, validate=not raw)
 
 

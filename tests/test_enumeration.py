@@ -3,24 +3,29 @@
 Two oracles.  The first regenerates every labeled frame by filtering all
 relations on n points, groups them by a permutation-minimizing canonical key
 computed with plain tuples, and only then compares class counts with the
-package's extension-based generator.  No class count is hand-entered.  The
-second is the straightforward dedup path: the n!-permutation canonical key
-of every labeled frame, with the first frame seen for each key relabeled
-along its minimizing permutation.  The package's bucketed path must return
-exactly its frames, in its order.
+package's generator.  No class count is hand-entered.  The second is the
+straightforward dedup path over labeled frames: the n!-permutation canonical
+key of every labeled frame, with the first frame seen for each key relabeled
+along its minimizing permutation.  The package generates classes from
+unlabeled orders and equivalences up to automorphism, without labeled
+frames, and must return exactly the oracle's frames, in its order.
 """
 
+import hashlib
 from functools import cache
 from itertools import permutations
+from math import factorial
 
 import pytest
 
+from kripkit.cli import main
 from kripkit.enumeration import (
     CANONICAL_MAX,
     EnumerationConfig,
     _classes,
-    _labeled_frames,
+    _order_classes,
     canonical_form,
+    commuting,
     enumerate_frames,
     equivalences,
     partial_orders,
@@ -33,6 +38,7 @@ from kripkit.frames import (
     Relation,
     has_clean_clusters,
     is_finite_mgrz,
+    qe,
     relation_pair,
 )
 from kripkit.semantics import frame_validates
@@ -123,7 +129,26 @@ def chain_frame(n: int) -> IntFrame:
     return IntFrame(tuple(f"x{i}" for i in range(n)), r, r)
 
 
-# The straightforward dedup path, kept as an oracle for the bucketed one.
+# The straightforward dedup path over labeled frames, kept as an oracle for
+# the generator.
+
+
+def labeled_frames(kind: str, n: int):
+    names = tuple(f"x{i}" for i in range(n))
+    eqs = equivalences(n)
+    if kind == "ms4":
+        for r in quasi_orders(n):
+            for e in eqs:
+                if commuting(r, e):
+                    yield MS4Frame(names, r, e)
+    else:
+        # With r a partial order, pairing r with a commuting equivalence e
+        # and coarsening to q = r-then-e yields each valid (r, q) exactly
+        # once: e is recovered from q as its cluster equivalence.
+        for r in partial_orders(n):
+            for e in eqs:
+                if commuting(r, e):
+                    yield IntFrame(names, r, qe(r, e))
 
 
 def minimizing_relabeling(frame) -> tuple[tuple[int, ...], bytes]:
@@ -163,7 +188,7 @@ def dedup_oracle(kind: str, bound: int) -> tuple:
     out = []
     for n in range(1, bound + 1):
         reps = {}
-        for frame in _labeled_frames(kind, n):
+        for frame in labeled_frames(kind, n):
             perm, key = minimizing_relabeling(frame)
             if key not in reps:
                 reps[key] = relabeled(frame, perm)
@@ -218,6 +243,56 @@ def test_labeled_counts_follow_the_known_sequences():
     assert [len(partial_orders(n)) for n in range(1, 5)] == [1, 3, 19, 219]
     assert [len(quasi_orders(n)) for n in range(1, 5)] == [1, 4, 29, 355]
     assert [len(equivalences(n)) for n in range(1, 5)] == [1, 2, 5, 15]
+
+
+def test_order_classes_follow_the_known_sequences():
+    # Unlabeled posets (OEIS A000112) and quasi-orders (A001930).
+    assert [len(_order_classes(n, False)) for n in range(1, 7)] == [
+        1, 2, 5, 16, 63, 318
+    ]
+    assert [len(_order_classes(n, True)) for n in range(1, 7)] == [
+        1, 3, 9, 33, 139, 718
+    ]
+
+
+def test_order_classes_are_canonical_with_their_automorphisms():
+    for with_clusters in (False, True):
+        labeled = quasi_orders if with_clusters else partial_orders
+        for n in range(1, 6):
+            count = 0
+            for order, automorphisms in _order_classes(n, with_clusters):
+                frame = MS4Frame(
+                    tuple(f"x{i}" for i in range(n)), order, Relation.identity(n)
+                )
+                assert canonical_form(frame)[2 : 2 + n] == bytes(order.rows)
+                fixing = [
+                    perm
+                    for perm in permutations(range(n))
+                    if all(
+                        order.has(perm[a], perm[b]) == order.has(a, b)
+                        for a in range(n)
+                        for b in range(n)
+                    )
+                ]
+                assert len(automorphisms) == len(fixing)
+                # Orbit-stabilizer: the class has n!/|Aut| labeled members.
+                count += factorial(n) // len(fixing)
+            assert count == len(labeled(n))
+
+
+# `kripkit enumerate --kind K --bound 5` stdout, as the labeled dedup path
+# printed it.
+BOUND_5_SHA256 = {
+    "int": "a636581ef164e1914eb0a513b4d86c401f859ba2f208f33ba17c33f166367ece",
+    "ms4": "8897fde20a0540780d23b6f415cf9dd89eef23739c6a3d38f6127ba461279126",
+}
+
+
+@pytest.mark.parametrize("kind", ["int", "ms4"])
+def test_bound_5_output_is_unchanged(kind, capsys):
+    assert main(["enumerate", "--kind", kind, "--bound", "5"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUND_5_SHA256[kind]
 
 
 @pytest.mark.parametrize("kind", ["int", "ms4"])

@@ -39,6 +39,37 @@ def small_quasi_orders(draw, max_n: int = 5):
     return draw(relations(max_n)).reflexive_transitive_closure()
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def frame_shaped(draw):
+    """A frame JSON object with a known kind, distinct point names and lists
+    of index pairs (out of range when there are fewer points, reflexive at
+    times), with at most one field dropped or replaced by any JSON value, so
+    that inputs reach the relation and frame checks behind the type tests."""
+    points = draw(
+        st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)
+    )
+    diagonal = [[i, i] for i in range(len(points))] if draw(st.booleans()) else []
+    data = {"kind": draw(st.sampled_from(["int", "ms4"])), "points": points}
+    for key in ("R", "Q", "E"):
+        pair = st.lists(st.integers(0, 2), min_size=2, max_size=2)
+        data[key] = diagonal + draw(st.lists(pair, max_size=4))
+    key = draw(st.sampled_from([None, *data]))
+    if key is not None:
+        if draw(st.booleans()):
+            del data[key]
+        else:
+            data[key] = draw(JSON_VALUES)
+    return data
+
+
 def reachable_oracle(rel: Relation, start: int) -> set[int]:
     """Graph reachability by plain BFS, for checking the closure."""
     seen = {start}
@@ -400,6 +431,15 @@ class TestFrameJson:
     def test_rejects_malformed(self, data):
         with pytest.raises(ValueError):
             frame_from_json_dict(data)
+
+    @given(frame_shaped() | JSON_VALUES)
+    def test_loader_returns_a_frame_or_raises_value_error(self, data):
+        try:
+            frame = frame_from_json_dict(data)
+        except ValueError:
+            return
+        assert isinstance(frame, (IntFrame, MS4Frame))
+        assert frame_from_json_dict(frame_to_json_dict(frame)) == frame
 
     def test_validation_on_load(self):
         data = {

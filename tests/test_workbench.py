@@ -183,6 +183,15 @@ def test_cli_check_frame_violation(tmp_path, capsys):
     assert payload["violations"][0]["witness"] == [0, 1]
 
 
+def test_cli_deeply_nested_frame_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main(["check-frame", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_cli_validate_formula(tmp_path, capsys, two_point_frame):
     path = frame_file(tmp_path, two_point_frame)
     assert main(["validate-formula", path, "p -> p"]) == 0
