@@ -4,9 +4,10 @@ The package is organized around five layers:
 
 - `syntax`: formula ASTs, a parser/printer pair, and the translation into the
   classical modal language.
-- `frames`: finite birelational frames (an intuitionistic kind and a modal
-  kind), their well-formedness checks, and the derived relations that connect
-  the two kinds.
+- `frames`: one finite frame type, points with an order `r` and a second
+  relation `s`, in an intuitionistic kind (`IntFrame`, `s` read as `q`) and
+  a modal kind (`MS4Frame`, `s` read as `e`); the well-formedness checks of
+  each kind, and the derived relations that connect the two kinds.
 - `semantics`: exhaustive valuation-based model checking on both kinds.
 - `functors` / `morphisms`: the quotient and expansion constructions between
   the two frame kinds, structure-preserving maps, and the lifting of

@@ -14,17 +14,10 @@ import sys
 
 from . import syntax
 from .enumeration import EnumerationConfig, enumerate_frames
-from .frames import (
-    MAX_POINTS,
-    IntFrame,
-    MS4Frame,
-    frame_to_json_dict,
-    validate_int_frame,
-    validate_ms4_frame,
-)
+from .frames import MAX_POINTS, Frame, frame_to_json_dict, validate_frame
 from .functors import sigma, skeleton
 from .morphisms import enumerate_reductions
-from .semantics import countermodel
+from .semantics import LANGUAGE, countermodel
 from .workbench import (
     experiment_ids,
     load_frame,
@@ -41,16 +34,13 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _load(args) -> IntFrame | MS4Frame:
+def _load(args) -> Frame:
     return load_frame(args.frame, raw=args.raw)
 
 
 def _cmd_check_frame(args) -> int:
     frame = load_frame(args.frame, raw=True)
-    if isinstance(frame, IntFrame):
-        report = validate_int_frame(frame)
-    else:
-        report = validate_ms4_frame(frame)
+    report = validate_frame(frame)
     if args.json:
         _print_json(report.to_json_dict())
     elif report.ok:
@@ -64,8 +54,7 @@ def _cmd_check_frame(args) -> int:
 
 def _cmd_validate_formula(args) -> int:
     frame = _load(args)
-    lang = syntax.INT if isinstance(frame, IntFrame) else syntax.MODAL
-    phi = syntax.parse(args.formula, lang)
+    phi = syntax.parse(args.formula, LANGUAGE[frame.kind])
     caps = {}
     if args.force:
         caps = {"letter_cap": _FORCED_LETTER_CAP, "point_cap": MAX_POINTS}
@@ -112,7 +101,7 @@ def _emit_frame(frame, args, extra: dict | None = None) -> None:
 
 def _cmd_skeleton(args) -> int:
     frame = _load(args)
-    if not isinstance(frame, MS4Frame):
+    if frame.kind != "ms4":
         raise ValueError("skeleton expects an ms4 frame")
     quotient, projection = skeleton(frame)
     _emit_frame(quotient, args, {"projection": projection.to_json_dict()})
@@ -121,7 +110,7 @@ def _cmd_skeleton(args) -> int:
 
 def _cmd_sigma(args) -> int:
     frame = _load(args)
-    if not isinstance(frame, IntFrame):
+    if frame.kind != "int":
         raise ValueError("sigma expects an int frame")
     _emit_frame(sigma(frame), args)
     return 0

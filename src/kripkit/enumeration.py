@@ -26,15 +26,7 @@ from itertools import permutations
 from operator import itemgetter
 
 from . import semantics, syntax
-from .frames import (
-    BoundExceeded,
-    IntFrame,
-    MS4Frame,
-    Relation,
-    bits,
-    qe,
-    relation_pair,
-)
+from .frames import FRAME_TYPES, BoundExceeded, Relation, bits, commuting, qe
 
 MAX_ENUM_POINTS = 5
 CANONICAL_MAX = 7
@@ -42,6 +34,8 @@ CANONICAL_MAX = 7
 FILTERS = ("m_plus", "mgrz", "m_plus_grz")
 _INT_FILTERS = frozenset(("m_plus",))
 _MS4_FILTERS = frozenset(("mgrz", "m_plus_grz"))
+# First byte of a canonical key, per frame kind.
+_KIND_BYTE = {"int": b"I", "ms4": b"M"}
 
 
 @dataclass(frozen=True)
@@ -161,14 +155,6 @@ def equivalences(n: int) -> list[Relation]:
     return out
 
 
-def commuting(r: Relation, e: Relation) -> bool:
-    """An e-step then an r-step can always be matched by an r-step then an
-    e-step."""
-    return all(
-        r.image(e.rows[x]) & ~e.image(r.rows[x]) == 0 for x in range(r.n)
-    )
-
-
 @cache
 def _relabelings(n: int) -> tuple:
     """One (pick, table) pair per permutation `perm` of n points, where
@@ -197,21 +183,18 @@ def canonical_form(frame) -> bytes:
     n = frame.n
     if n > CANONICAL_MAX:
         raise BoundExceeded(f"canonical form capped at {CANONICAL_MAX} points")
-    first, second = relation_pair(frame)
-    rows = first.rows + second.rows
+    rows = frame.r.rows + frame.s.rows
     encoding = min(bytes(pick(rows)).translate(table) for pick, table in _relabelings(n))
-    kind = b"I" if isinstance(frame, IntFrame) else b"M"
-    return kind + bytes([n]) + encoding
+    return _KIND_BYTE[frame.kind] + bytes([n]) + encoding
 
 
-def _from_key(key: bytes) -> "IntFrame | MS4Frame":
-    """The canonical representative a key spells out, points named x0, x1, ..."""
+def _from_key(kind: str, key: bytes):
+    """The canonical `kind` frame a key spells out, points named x0, x1, ..."""
     n = key[1]
     names = tuple(f"x{i}" for i in range(n))
     first = Relation(n, tuple(key[2 : 2 + n]))
     second = Relation(n, tuple(key[2 + n :]))
-    frame_type = IntFrame if key[:1] == b"I" else MS4Frame
-    return frame_type(names, first, second)
+    return FRAME_TYPES[kind](names, first, second)
 
 
 @cache
@@ -252,7 +235,7 @@ def _classes(kind: str, n: int) -> tuple:
     Each canonical order R is paired with every commuting equivalence; the
     pair's key, equal to `canonical_form` of the frame, is R's rows followed
     by the least relabeled second relation over R's automorphisms."""
-    prefix = (b"I" if kind == "int" else b"M") + bytes([n])
+    prefix = _KIND_BYTE[kind] + bytes([n])
     eqs = equivalences(n)
     keys = set()
     for r, automorphisms in _order_classes(n, with_clusters=kind == "ms4"):
@@ -263,10 +246,10 @@ def _classes(kind: str, n: int) -> tuple:
             keys.add(
                 min(bytes(pick(rows)).translate(table) for pick, table in automorphisms)
             )
-    return tuple(_from_key(prefix + key) for key in sorted(keys))
+    return tuple(_from_key(kind, prefix + key) for key in sorted(keys))
 
 
-def _casari_image_valid(frame: MS4Frame) -> bool:
+def _casari_image_valid(frame) -> bool:
     translated = syntax.corpus("casari_translated")[0]
     return semantics.frame_validates(frame, translated, point_cap=frame.n)
 

@@ -1,24 +1,27 @@
 """Finite birelational frames.
 
-Two kinds of frame, both over a finite point set carried as a name list:
+One frame type, `Frame`: a finite point set carried as a name list, an
+order `r` and a second relation `s`.  Its two subclasses fix the kind and
+the paper's name for `s`:
 
-- `IntFrame` (X, R, Q): R a partial order, Q a quasi-order containing R,
-  with every Q-step decomposable into an R-step followed by a step inside a
-  Q-cluster.
-- `MS4Frame` (Y, R, E): R a quasi-order, E an equivalence, commuting in the
-  sense that an E-step followed by an R-step can be replaced by an R-step
-  followed by an E-step.
+- `IntFrame` (X, R, Q), kind "int", `s` read as `q`: R a partial order, Q a
+  quasi-order containing R, with every Q-step decomposable into an R-step
+  followed by a step inside a Q-cluster.
+- `MS4Frame` (Y, R, E), kind "ms4", `s` read as `e`: R a quasi-order, E an
+  equivalence, commuting in the sense that an E-step followed by an R-step
+  can be replaced by an R-step followed by an E-step.
 
-Relations are stored as bitmask rows: bit j of `rows[i]` is set iff i is
-related to j.  Everything here is exhaustive search over points, so sizes are
-capped at MAX_POINTS.
+`validate_frame` checks a frame's conditions, reporting each failure with a
+witness.  Relations are stored as bitmask rows: bit j of `rows[i]` is set iff
+i is related to j.  Everything here is exhaustive search over points, so
+sizes are capped at MAX_POINTS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 MAX_POINTS = 12
 
@@ -206,26 +209,30 @@ class InvalidFrameError(ValueError):
         self.report = report
 
 
-def _check_names(points: tuple[str, ...]) -> None:
-    if not points:
-        raise ValueError("a frame needs at least one point")
-    if len(points) > MAX_POINTS:
-        raise BoundExceeded(f"{len(points)} points exceeds cap {MAX_POINTS}")
-    if len(set(points)) != len(points):
-        raise ValueError("point names must be distinct")
-
-
 @dataclass(frozen=True)
-class IntFrame:
-    """Intuitionistic frame: partial order `r` inside quasi-order `q`."""
+class Frame:
+    """Finite point set with an order `r` and a second relation `s`.
+
+    The subclasses fix the kind: `kind` names it ("int" or "ms4") and
+    `second` is the paper's name for `s` ("q" or "e").  Frames of different
+    kinds never compare equal.
+    """
+
+    kind: ClassVar[str]
+    second: ClassVar[str]
 
     points: tuple[str, ...]
     r: Relation
-    q: Relation
+    s: Relation
 
     def __post_init__(self) -> None:
-        _check_names(self.points)
-        if self.r.n != len(self.points) or self.q.n != len(self.points):
+        if not self.points:
+            raise ValueError("a frame needs at least one point")
+        if len(self.points) > MAX_POINTS:
+            raise BoundExceeded(f"{len(self.points)} points exceeds cap {MAX_POINTS}")
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("point names must be distinct")
+        if self.r.n != len(self.points) or self.s.n != len(self.points):
             raise ValueError("relation size must match the point count")
 
     @property
@@ -234,38 +241,35 @@ class IntFrame:
 
     def index(self, name: str) -> int:
         return self.points.index(name)
+
+
+class IntFrame(Frame):
+    """Intuitionistic frame: partial order `r` inside quasi-order `q`."""
+
+    kind = "int"
+    second = "q"
+
+    @property
+    def q(self) -> Relation:
+        return self.s
 
     def e_q(self) -> Relation:
         """Equivalence of mutual Q-reachability (Q-cluster relation)."""
         return self.q.meet(self.q.converse())
 
 
-@dataclass(frozen=True)
-class MS4Frame:
+class MS4Frame(Frame):
     """Modal frame: quasi-order `r` plus commuting equivalence `e`."""
 
-    points: tuple[str, ...]
-    r: Relation
-    e: Relation
-
-    def __post_init__(self) -> None:
-        _check_names(self.points)
-        if self.r.n != len(self.points) or self.e.n != len(self.points):
-            raise ValueError("relation size must match the point count")
+    kind = "ms4"
+    second = "e"
 
     @property
-    def n(self) -> int:
-        return len(self.points)
-
-    def index(self, name: str) -> int:
-        return self.points.index(name)
+    def e(self) -> Relation:
+        return self.s
 
 
-def relation_pair(frame: IntFrame | MS4Frame) -> tuple[Relation, Relation]:
-    """The frame's two relations: (r, q) for int frames, (r, e) for ms4."""
-    if isinstance(frame, IntFrame):
-        return frame.r, frame.q
-    return frame.r, frame.e
+FRAME_TYPES = {frame_type.kind: frame_type for frame_type in (IntFrame, MS4Frame)}
 
 
 def _reflexive_witness(rel: Relation) -> tuple[int, ...] | None:
@@ -307,71 +311,90 @@ def _subset_witness(sub: Relation, sup: Relation) -> tuple[int, ...] | None:
     return None
 
 
+def _decomposition_witness(frame: IntFrame) -> tuple[int, ...] | None:
+    # Every q-successor must be reachable as an r-step into its q-cluster.
+    eq = frame.e_q()
+    for x in range(frame.n):
+        missing = frame.q.rows[x] & ~eq.image(frame.r.rows[x])
+        if missing:
+            return (x, next(bits(missing)))
+    return None
+
+
+def _commute_witness(r: Relation, e: Relation) -> tuple[int, ...] | None:
+    """First (x, y, z) in index order with x e y and y r z but no r-step
+    then e-step from x to z, or None when e-then-r lies inside r-then-e."""
+    for x in range(r.n):
+        around = e.image(r.rows[x])
+        for y in bits(e.rows[x]):
+            missing = r.rows[y] & ~around
+            if missing:
+                return (x, y, next(bits(missing)))
+    return None
+
+
+def commuting(r: Relation, e: Relation) -> bool:
+    """An e-step then an r-step can always be matched by an r-step then an
+    e-step."""
+    return _commute_witness(r, e) is None
+
+
+def _report(*stages: list[tuple[str, tuple[int, ...] | None, str]]) -> ValidationReport:
+    """Violations of the first stage with any: one per (condition, witness,
+    detail) check that found a witness.  A later stage assumes the
+    conditions of the earlier ones."""
+    for stage in stages:
+        out = tuple(Violation(c, witness, d) for c, witness, d in stage if witness is not None)
+        if out:
+            return ValidationReport(out)
+    return ValidationReport(())
+
+
 def validate_int_frame(frame: IntFrame) -> ValidationReport:
     """Check the intuitionistic frame conditions, reporting each failure with
     a witness: r partial order, q quasi-order, r within q, and every q-step
     an r-step followed by a hop inside a q-cluster."""
-    out: list[Violation] = []
-
-    def add(condition: str, witness: tuple[int, ...] | None, detail: str) -> None:
-        if witness is not None:
-            out.append(Violation(condition, witness, detail))
-
     r, q = frame.r, frame.q
-    add("r-reflexive", _reflexive_witness(r), "point not r-related to itself")
-    add("r-transitive", _transitive_witness(r), "r misses a composite step")
-    add("r-antisymmetric", _antisymmetric_witness(r), "r has a two-point cycle")
-    add("q-reflexive", _reflexive_witness(q), "point not q-related to itself")
-    add("q-transitive", _transitive_witness(q), "q misses a composite step")
-    add("r-subset-q", _subset_witness(r, q), "r-step missing from q")
-    if not out:
-        # Every q-successor must be reachable as an r-step into its q-cluster.
-        eq = frame.e_q()
-        for x in range(frame.n):
-            reachable = eq.image(r.rows[x])
-            missing = q.rows[x] & ~reachable
-            if missing:
-                add(
-                    "q-witness",
-                    (x, next(bits(missing))),
-                    "q-step with no r-then-cluster decomposition",
-                )
-                break
-    return ValidationReport(tuple(out))
+    return _report(
+        [
+            ("r-reflexive", _reflexive_witness(r), "point not r-related to itself"),
+            ("r-transitive", _transitive_witness(r), "r misses a composite step"),
+            ("r-antisymmetric", _antisymmetric_witness(r), "r has a two-point cycle"),
+            ("q-reflexive", _reflexive_witness(q), "point not q-related to itself"),
+            ("q-transitive", _transitive_witness(q), "q misses a composite step"),
+            ("r-subset-q", _subset_witness(r, q), "r-step missing from q"),
+        ],
+        [
+            (
+                "q-witness",
+                _decomposition_witness(frame),
+                "q-step with no r-then-cluster decomposition",
+            )
+        ],
+    )
 
 
 def validate_ms4_frame(frame: MS4Frame) -> ValidationReport:
     """Check the modal frame conditions with witnesses: r quasi-order, e an
     equivalence, and e-then-r coverable by r-then-e."""
-    out: list[Violation] = []
-
-    def add(condition: str, witness: tuple[int, ...] | None, detail: str) -> None:
-        if witness is not None:
-            out.append(Violation(condition, witness, detail))
-
     r, e = frame.r, frame.e
-    add("r-reflexive", _reflexive_witness(r), "point not r-related to itself")
-    add("r-transitive", _transitive_witness(r), "r misses a composite step")
-    add("e-reflexive", _reflexive_witness(e), "point not e-related to itself")
-    add("e-symmetric", _symmetric_witness(e), "e-step with no reverse")
-    add("e-transitive", _transitive_witness(e), "e misses a composite step")
-    if not out:
-        for x in range(frame.n):
-            # e-step then r-step from x, versus r-step then e-step.
-            around = e.image(r.image(1 << x))
-            for y in bits(e.rows[x]):
-                missing = r.rows[y] & ~around
-                if missing:
-                    add(
-                        "commute",
-                        (x, y, next(bits(missing))),
-                        "e-then-r step that r-then-e cannot match",
-                    )
-                    break
-            else:
-                continue
-            break
-    return ValidationReport(tuple(out))
+    return _report(
+        [
+            ("r-reflexive", _reflexive_witness(r), "point not r-related to itself"),
+            ("r-transitive", _transitive_witness(r), "r misses a composite step"),
+            ("e-reflexive", _reflexive_witness(e), "point not e-related to itself"),
+            ("e-symmetric", _symmetric_witness(e), "e-step with no reverse"),
+            ("e-transitive", _transitive_witness(e), "e misses a composite step"),
+        ],
+        [("commute", _commute_witness(r, e), "e-then-r step that r-then-e cannot match")],
+    )
+
+
+def validate_frame(frame: Frame) -> ValidationReport:
+    """The frame conditions of the frame's kind, with witnesses."""
+    if frame.kind == "int":
+        return validate_int_frame(frame)
+    return validate_ms4_frame(frame)
 
 
 def has_clean_clusters(frame: IntFrame) -> bool:
@@ -416,19 +439,12 @@ def is_finite_mgrz(frame: MS4Frame) -> bool:
 # with index pairs.  Key names are part of the external interface.
 
 
-def frame_to_json_dict(frame: IntFrame | MS4Frame) -> dict:
-    if isinstance(frame, IntFrame):
-        return {
-            "kind": "int",
-            "points": list(frame.points),
-            "R": [list(p) for p in frame.r.pairs()],
-            "Q": [list(p) for p in frame.q.pairs()],
-        }
+def frame_to_json_dict(frame: Frame) -> dict:
     return {
-        "kind": "ms4",
+        "kind": frame.kind,
         "points": list(frame.points),
         "R": [list(p) for p in frame.r.pairs()],
-        "E": [list(p) for p in frame.e.pairs()],
+        frame.second.upper(): [list(p) for p in frame.s.pairs()],
     }
 
 
@@ -447,7 +463,7 @@ def _relation_from_json(n: int, pairs, label: str) -> Relation:
     return Relation.from_pairs(n, cleaned)
 
 
-def frame_from_json_dict(data: dict, validate: bool = True) -> IntFrame | MS4Frame:
+def frame_from_json_dict(data: dict, validate: bool = True) -> Frame:
     """Rebuild a frame from its JSON form.
 
     With `validate` (the default) the frame conditions are checked and an
@@ -456,7 +472,7 @@ def frame_from_json_dict(data: dict, validate: bool = True) -> IntFrame | MS4Fra
     if not isinstance(data, dict):
         raise ValueError("frame JSON must be an object")
     kind = data.get("kind")
-    if kind not in ("int", "ms4"):
+    if not isinstance(kind, str) or kind not in FRAME_TYPES:
         raise ValueError("frame JSON needs \"kind\": \"int\" or \"ms4\"")
     points = data.get("points")
     if (
@@ -466,17 +482,13 @@ def frame_from_json_dict(data: dict, validate: bool = True) -> IntFrame | MS4Fra
     ):
         raise ValueError("frame JSON needs a nonempty list of point names")
     n = len(points)
-    second_key = "Q" if kind == "int" else "E"
+    frame_type = FRAME_TYPES[kind]
+    second_key = frame_type.second.upper()
     if "R" not in data or second_key not in data:
         raise ValueError(f"frame JSON needs \"R\" and \"{second_key}\"")
     r = _relation_from_json(n, data["R"], "R")
     second = _relation_from_json(n, data[second_key], second_key)
-    if kind == "int":
-        frame: IntFrame | MS4Frame = IntFrame(tuple(points), r, second)
-        report = validate_int_frame(frame) if validate else None
-    else:
-        frame = MS4Frame(tuple(points), r, second)
-        report = validate_ms4_frame(frame) if validate else None
-    if report is not None:
-        report.require_ok()
+    frame = frame_type(tuple(points), r, second)
+    if validate:
+        validate_frame(frame).require_ok()
     return frame

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frames import IntFrame, MS4Frame, Relation, bits, er, qe, relation_pair
+from .frames import IntFrame, MS4Frame, Relation, bits, er, qe
 from .morphisms import FrameMap, is_ms4_morphism
 
 
@@ -99,12 +99,12 @@ def sigma(frame: IntFrame) -> MS4Frame:
 def find_isomorphism(a, b) -> tuple[int, ...] | None:
     """First bijection (in lexicographic order of the image tuple) matching
     both relations in both directions, or None."""
-    if type(a) is not type(b):
+    if a.kind != b.kind:
         raise ValueError("frames must be of the same kind")
     if a.n != b.n:
         return None
-    rels_a = relation_pair(a)
-    rels_b = relation_pair(b)
+    rels_a = (a.r, a.s)
+    rels_b = (b.r, b.s)
 
     def signature(rels, x):
         return tuple(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .frames import BoundExceeded, IntFrame, MS4Frame, Relation, bits, relation_pair
+from .frames import BoundExceeded, Frame, IntFrame, MS4Frame, bits
 
 REDUCTION_SOURCE_CAP = 6
 
@@ -39,12 +39,12 @@ def _image_of(mask: int, image: Sequence[int]) -> int:
 class FrameMap:
     """Total map between the point sets of two frames of the same kind."""
 
-    source: IntFrame | MS4Frame
-    target: IntFrame | MS4Frame
+    source: Frame
+    target: Frame
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.source) is not type(self.target):
+        if self.source.kind != self.target.kind:
             raise ValueError("map endpoints must be frames of the same kind")
         if len(self.image) != self.source.n:
             raise ValueError("map must cover every source point")
@@ -69,20 +69,16 @@ class FrameMap:
         return "{" + pairs + "}"
 
 
-def _p_morphism_for(f: FrameMap, rel_source: Relation, rel_target: Relation) -> bool:
-    # Forth and back at once: target successors of f(x) = image of source
-    # successors of x.
+def is_p_morphism(f: FrameMap, which: str = "r") -> bool:
+    """Back-and-forth condition for the named relation ("r", "q", "e", or
+    "s"): the target successors of f(x) are the image of the source
+    successors of x."""
+    rel_source = getattr(f.source, which)
+    rel_target = getattr(f.target, which)
     return all(
         rel_target.rows[f.image[x]] == f.apply_mask(rel_source.rows[x])
         for x in range(f.source.n)
     )
-
-
-def is_p_morphism(f: FrameMap, which: str = "r") -> bool:
-    """Back-and-forth condition for the named relation ("r", "q", or "e")."""
-    rel_source = getattr(f.source, which)
-    rel_target = getattr(f.target, which)
-    return _p_morphism_for(f, rel_source, rel_target)
 
 
 def _condition4(f: FrameMap) -> bool:
@@ -120,38 +116,34 @@ def is_mipc_morphism(f: FrameMap) -> bool:
     plus the converse q-predecessor condition."""
     if not isinstance(f.source, IntFrame):
         raise ValueError("expected intuitionistic frames")
-    return (
-        _p_morphism_for(f, f.source.r, f.target.r)
-        and _p_morphism_for(f, f.source.q, f.target.q)
-        and _condition4(f)
-    )
+    return is_p_morphism(f, "r") and is_p_morphism(f, "q") and _condition4(f)
 
 
 def is_ms4_morphism(f: FrameMap) -> bool:
     """Morphism of modal frames: back-and-forth for r and for e."""
     if not isinstance(f.source, MS4Frame):
         raise ValueError("expected modal frames")
-    return _p_morphism_for(f, f.source.r, f.target.r) and _p_morphism_for(
-        f, f.source.e, f.target.e
-    )
+    return is_p_morphism(f, "r") and is_p_morphism(f, "e")
+
+
+def _is_morphism(f: FrameMap) -> bool:
+    """Morphism of the kind of the map's frames."""
+    if f.source.kind == "int":
+        return is_mipc_morphism(f)
+    return is_ms4_morphism(f)
 
 
 def is_reduction(f: FrameMap) -> bool:
     """Onto morphism of the appropriate kind."""
-    if not f.is_onto():
-        return False
-    if isinstance(f.source, IntFrame):
-        return is_mipc_morphism(f)
-    return is_ms4_morphism(f)
+    return f.is_onto() and _is_morphism(f)
 
 
 def _search(source, target, onto: bool) -> list[FrameMap]:
     """Morphisms from `source` to `target` (onto ones only when `onto`), in
     lexicographic order of the image tuple."""
-    if type(source) is not type(target):
+    if source.kind != target.kind:
         raise ValueError("frames must be of the same kind")
     n, m = source.n, target.n
-    is_morphism = is_mipc_morphism if isinstance(source, IntFrame) else is_ms4_morphism
     everything = (1 << m) - 1
     # Forth, per point x and relation: the earlier predecessors and
     # successors of x, the target points its own loop allows, and the
@@ -160,7 +152,7 @@ def _search(source, target, onto: bool) -> list[FrameMap]:
     # Back, per point x: the (y, source row, target rows) whose row is fully
     # assigned once x is.
     back = [[] for _ in range(n)]
-    for rel_s, rel_t in zip(relation_pair(source), relation_pair(target)):
+    for rel_s, rel_t in ((source.r, target.r), (source.s, target.s)):
         loops = sum(1 << v for v in range(m) if rel_t.has(v, v))
         for y, row in enumerate(rel_s.rows):
             back[max(y, row.bit_length() - 1)].append((y, row, rel_t.rows))
@@ -181,7 +173,7 @@ def _search(source, target, onto: bool) -> list[FrameMap]:
     def extend(x: int, hit: int) -> None:
         if x == n:
             f = FrameMap(source, target, tuple(image))
-            if is_morphism(f):
+            if _is_morphism(f):
                 out.append(f)
             return
         allowed = everything
@@ -220,8 +212,6 @@ def enumerate_reductions(source, target) -> list[FrameMap]:
     """All reductions from `source` onto `target`, in lexicographic order of
     the image tuple.  Found by the pruned search described above, with the
     onto bound on; the source stays capped at `REDUCTION_SOURCE_CAP` points."""
-    if type(source) is not type(target):
-        raise ValueError("frames must be of the same kind")
     if source.n > REDUCTION_SOURCE_CAP:
         raise BoundExceeded(
             f"source has {source.n} points, cap is {REDUCTION_SOURCE_CAP}"

@@ -25,15 +25,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import syntax
-from .frames import (
-    BoundExceeded,
-    IntFrame,
-    MS4Frame,
-    Relation,
-    bits,
-    mask_of,
-    relation_pair,
-)
+from .frames import BoundExceeded, Frame, Relation, bits, mask_of
 
 LETTER_CAP = 3
 POINT_CAP = 6
@@ -76,7 +68,7 @@ class Valuation:
     hashable and compare by content.
     """
 
-    frame: IntFrame | MS4Frame
+    frame: Frame
     masks: tuple[tuple[str, int], ...]
 
     @classmethod
@@ -95,33 +87,35 @@ class Valuation:
 
     def is_admissible(self) -> bool:
         """On an intuitionistic frame every letter must get an r-upset."""
-        if isinstance(self.frame, IntFrame):
-            return all(is_upset(self.frame.r, m) for _, m in self.masks)
-        return True
+        return self.frame.kind != "int" or all(
+            is_upset(self.frame.r, m) for _, m in self.masks
+        )
 
     def to_json_dict(self) -> dict:
         return {name: list(bits(mask)) for name, mask in self.masks}
 
 
+# The formula language each frame kind evaluates.
+LANGUAGE = {"int": syntax.INT, "ms4": syntax.MODAL}
+
+
 def _check_pair(frame, phi: syntax.Formula) -> None:
-    if isinstance(frame, IntFrame) and phi.lang != syntax.INT:
-        raise ValueError("intuitionistic frames evaluate intuitionistic formulas")
-    if isinstance(frame, MS4Frame) and phi.lang != syntax.MODAL:
-        raise ValueError("modal frames evaluate modal formulas")
+    if phi.lang != LANGUAGE[frame.kind]:
+        raise ValueError(f"{frame.kind} frames evaluate {LANGUAGE[frame.kind]} formulas")
 
 
 # How each connective compiles, per frame kind: (op, relation).  "all" and
 # "some" quantify over the relation's successors; "imp" with a relation is
 # the intuitionistic implication, the classical one under "all" over r.
 _OPS = {
-    IntFrame: {
+    "int": {
         "and": ("and", None),
         "or": ("or", None),
         "implies": ("imp", "r"),
         "forall": ("all", "s"),
         "exists": ("some", "s"),
     },
-    MS4Frame: {
+    "ms4": {
         "and": ("and", None),
         "or": ("or", None),
         "implies": ("imp", None),
@@ -141,10 +135,10 @@ def _compile(frame, phi: syntax.Formula) -> tuple[list[tuple], tuple[str, ...]]:
     object once; structurally equal subtrees share one slot, keyed by the
     instruction, so no Formula is ever hashed.
     """
-    ops = _OPS[type(frame)]
+    ops = _OPS[frame.kind]
     successors = {
         label: tuple(tuple(bits(row)) for row in rel.rows)
-        for label, rel in zip("rs", relation_pair(frame))
+        for label, rel in (("r", frame.r), ("s", frame.s))
     }
     program: list[tuple] = []
     slots: dict[tuple, int] = {}
@@ -251,19 +245,19 @@ def truth_set(frame, valuation: Valuation, phi: syntax.Formula) -> int:
     return mask_of(x for x, bit in enumerate(_run(program, frame.n, inputs, 1)) if bit)
 
 
-def satisfies_int(frame: IntFrame, valuation: Valuation, point: int, phi) -> bool:
+def satisfies_int(frame: Frame, valuation: Valuation, point: int, phi) -> bool:
+    """Whether `phi` holds at `point`; one function for both frame kinds."""
     return bool(truth_set(frame, valuation, phi) >> point & 1)
 
 
-def satisfies_ms4(frame: MS4Frame, valuation: Valuation, point: int, phi) -> bool:
-    return bool(truth_set(frame, valuation, phi) >> point & 1)
+satisfies_ms4 = satisfies_int
 
 
 @dataclass(frozen=True)
 class Countermodel:
     """First refuting valuation and point found for a formula on a frame."""
 
-    frame: IntFrame | MS4Frame
+    frame: Frame
     valuation: Valuation
     point: int
     formula: syntax.Formula
@@ -328,10 +322,7 @@ def countermodel(
         raise BoundExceeded(f"frame has {frame.n} points, cap is {point_cap}")
     if len(letters) > letter_cap:
         raise BoundExceeded(f"formula has {len(letters)} letters, cap is {letter_cap}")
-    if isinstance(frame, IntFrame):
-        space = upsets(frame.r)
-    else:
-        space = subsets(frame.n)
+    space = upsets(frame.r) if frame.kind == "int" else subsets(frame.n)
     total = len(space) ** len(letters)
     if total > VALUATION_BUDGET:
         raise BoundExceeded(

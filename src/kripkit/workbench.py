@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import semantics, syntax
-from .enumeration import EnumerationConfig, enumerate_frames, quasi_orders
+from .enumeration import MAX_ENUM_POINTS, EnumerationConfig, enumerate_frames, quasi_orders
 from .frames import (
+    BoundExceeded,
+    Frame,
     IntFrame,
     MS4Frame,
     Relation,
@@ -108,11 +110,8 @@ def _enumerate(kind: str, bound: int, *filters: str):
 
 
 def _frame_label(frame) -> str:
-    kind = "int" if isinstance(frame, IntFrame) else "ms4"
-    r = ";".join(f"{i}>{j}" for i, j in frame.r.pairs())
-    second = frame.q if isinstance(frame, IntFrame) else frame.e
-    s = ";".join(f"{i}>{j}" for i, j in second.pairs())
-    return f"{kind}[n={frame.n} r={r} {'q' if kind == 'int' else 'e'}={s}]"
+    r, s = (";".join(f"{i}>{j}" for i, j in rel.pairs()) for rel in (frame.r, frame.s))
+    return f"{frame.kind}[n={frame.n} r={r} {frame.second}={s}]"
 
 
 def _run_counterexample(bound: int) -> tuple[int, list[str]]:
@@ -153,6 +152,9 @@ def _run_clean_casari(bound: int) -> tuple[int, list[str]]:
 
 
 def _run_grz_finite(bound: int) -> tuple[int, list[str]]:
+    # The labeled quasi-orders are listed in full: 9,535,241 on 7 points.
+    if bound > MAX_ENUM_POINTS:
+        raise BoundExceeded(f"grz-finite bound {bound} exceeds {MAX_ENUM_POINTS}")
     grz = syntax.corpus("grz")[0]
     instances = 0
     failures = []
@@ -401,7 +403,7 @@ def run_all(bound: int | None = None) -> list[ExperimentReport]:
 # --- file I/O ----------------------------------------------------------------
 
 
-def load_frame(path: str, raw: bool = False) -> IntFrame | MS4Frame:
+def load_frame(path: str, raw: bool = False) -> Frame:
     """Read a frame JSON file; validates frame conditions unless `raw`."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -411,7 +413,7 @@ def load_frame(path: str, raw: bool = False) -> IntFrame | MS4Frame:
     return frame_from_json_dict(data, validate=not raw)
 
 
-def save_frame(frame: IntFrame | MS4Frame, path: str) -> None:
+def save_frame(frame: Frame, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(frame_to_json_dict(frame), handle, indent=2)
         handle.write("\n")

@@ -39,7 +39,6 @@ from kripkit.frames import (
     has_clean_clusters,
     is_finite_mgrz,
     qe,
-    relation_pair,
 )
 from kripkit.semantics import frame_validates
 from kripkit.syntax import corpus
@@ -155,7 +154,7 @@ def minimizing_relabeling(frame) -> tuple[tuple[int, ...], bytes]:
     """The permutation giving the least packed relation rows, and those rows.
     perm[a] is the original index shown at position a."""
     n = frame.n
-    rels = relation_pair(frame)
+    rels = (frame.r, frame.s)
     best_perm, best = None, None
     for perm in permutations(range(n)):
         encoding = bytes(
@@ -178,7 +177,7 @@ def relabeled(frame, perm: tuple[int, ...]):
                 for a in range(n)
             ),
         )
-        for rel in relation_pair(frame)
+        for rel in (frame.r, frame.s)
     )
     return type(frame)(tuple(f"x{i}" for i in range(n)), first, second)
 

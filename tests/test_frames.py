@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kripkit.enumeration import quasi_orders
+from kripkit import frames
+from kripkit.enumeration import equivalences, quasi_orders
 from kripkit.frames import (
     MAX_POINTS,
     BoundExceeded,
@@ -13,6 +14,7 @@ from kripkit.frames import (
     MS4Frame,
     Relation,
     bits,
+    commuting,
     er,
     frame_from_json_dict,
     frame_to_json_dict,
@@ -22,6 +24,7 @@ from kripkit.frames import (
     mask_of,
     max_points,
     qe,
+    validate_frame,
     validate_int_frame,
     validate_ms4_frame,
 )
@@ -270,6 +273,31 @@ class TestFrameConstruction:
         assert set(bits(eq.rows[2])) == {2}
         assert two_point_frame.e_q() == Relation.total(2)
 
+    def test_kinds_share_one_shape(self, three_point_frame, cluster_frame):
+        assert (three_point_frame.kind, three_point_frame.second) == ("int", "q")
+        assert (cluster_frame.kind, cluster_frame.second) == ("ms4", "e")
+        assert three_point_frame.q is three_point_frame.s
+        assert cluster_frame.e is cluster_frame.s
+        # Equal fields, different kinds: not the same frame.
+        rel = Relation.identity(1)
+        assert IntFrame(("a",), rel, rel) != MS4Frame(("a",), rel, rel)
+
+    def test_validate_frame_calls_the_kind_validator_by_name(
+        self, monkeypatch, three_point_frame, cluster_frame
+    ):
+        # The dispatch looks the validators up in the module at call time, so
+        # a patched module binding (as the benchmark tracer installs) sees
+        # every call.
+        calls = []
+        for name in ("validate_int_frame", "validate_ms4_frame"):
+            original = getattr(frames, name)
+            monkeypatch.setattr(
+                frames, name, lambda f, n=name, o=original: calls.append(n) or o(f)
+            )
+        assert validate_frame(three_point_frame).ok
+        assert validate_frame(cluster_frame).ok
+        assert calls == ["validate_int_frame", "validate_ms4_frame"]
+
 
 class TestIntFrameValidation:
     def test_fixture_is_valid(self, three_point_frame, two_point_frame):
@@ -382,6 +410,30 @@ class TestMS4FrameValidation:
         report = validate_ms4_frame(frame)
         assert [v.condition for v in report.violations] == ["commute"]
         assert report.violations[0].witness == (0, 1, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_commute_check_matches_set_oracle(self, n):
+        # Over every labeled quasi-order and equivalence: the frames commute
+        # iff e;r lies inside r;e as sets of pairs, and the validator's
+        # witness is the first (x, y, z) with x e y, y r z and no r-then-e
+        # step from x to z.
+        names = tuple(f"x{i}" for i in range(n))
+        for r in quasi_orders(n):
+            r_pairs = set(r.pairs())
+            for e in equivalences(n):
+                e_pairs = set(e.pairs())
+                r_then_e = {(x, z) for x, y in r_pairs for w, z in e_pairs if w == y}
+                failures = sorted(
+                    (x, y, z)
+                    for x, y in e_pairs
+                    for w, z in r_pairs
+                    if w == y and (x, z) not in r_then_e
+                )
+                assert commuting(r, e) == (not failures)
+                violations = validate_ms4_frame(MS4Frame(names, r, e)).violations
+                assert [(v.condition, v.witness) for v in violations] == [
+                    ("commute", w) for w in failures[:1]
+                ]
 
 
 class TestFrameClassifiers:

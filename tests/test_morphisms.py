@@ -17,7 +17,6 @@ from kripkit.frames import (
     MS4Frame,
     Relation,
     has_clean_clusters,
-    relation_pair,
 )
 from kripkit.functors import sigma, skeleton, skeleton_map
 from kripkit.morphisms import (
@@ -241,7 +240,7 @@ def disjoint_union(a, b):
     points = tuple(f"a{i}" for i in range(a.n)) + tuple(f"b{i}" for i in range(b.n))
     relations = (
         Relation(a.n + b.n, rel_a.rows + tuple(row << a.n for row in rel_b.rows))
-        for rel_a, rel_b in zip(relation_pair(a), relation_pair(b))
+        for rel_a, rel_b in zip((a.r, a.s), (b.r, b.s))
     )
     return type(a)(points, *relations)
 

@@ -1,14 +1,28 @@
 """Tests for the experiment registry, report reproducibility, frame file I/O,
 and the command line."""
 
+import io
 import json
+import os
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kripkit import morphisms, workbench
 from kripkit.cli import main
-from kripkit.frames import InvalidFrameError, MS4Frame, Relation, validate_int_frame
+from kripkit.enumeration import FILTERS, EnumerationConfig, enumerate_frames
+from kripkit.frames import (
+    BoundExceeded,
+    InvalidFrameError,
+    MS4Frame,
+    Relation,
+    frame_to_json_dict,
+    validate_int_frame,
+)
 from kripkit.functors import sigma
 from kripkit.syntax import corpus, godel_translate, parse, print_formula, star_translate
 from kripkit.workbench import (
@@ -79,6 +93,17 @@ def test_translation_formula_pool_is_fixed():
 def test_experiment_registry_order():
     assert experiment_ids() == ALL_IDS
     assert list(EXPERIMENTS) == ALL_IDS
+
+
+def test_frame_labels_are_pinned(three_point_frame, two_point_frame):
+    # The label opens every failure witness, so it is part of the report
+    # fingerprint.
+    assert workbench._frame_label(three_point_frame) == (
+        "int[n=3 r=0>0;0>1;1>1;2>1;2>2 q=0>0;0>1;1>0;1>1;2>0;2>1;2>2]"
+    )
+    assert workbench._frame_label(sigma(two_point_frame)) == (
+        "ms4[n=2 r=0>0;0>1;1>1 e=0>0;0>1;1>0;1>1]"
+    )
 
 
 def test_run_experiment_guards():
@@ -354,3 +379,126 @@ def test_cli_usage_errors(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["check-frame", "/no/such/file.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_grz_finite_bound_is_capped(capsys, monkeypatch):
+    # grz-finite lists every labeled quasi-order up to its bound (642,779,354
+    # on 8 points), so a bound above the enumeration cap is refused before
+    # any is listed.
+    def refuse(n):
+        raise AssertionError(f"quasi_orders({n}) was called")
+
+    monkeypatch.setattr(workbench, "quasi_orders", refuse)
+    with pytest.raises(BoundExceeded):
+        run_experiment("grz-finite", 6)
+    assert main(["experiment", "grz-finite", "--bound", "8"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+# --- fuzzing the command line ------------------------------------------------
+
+VALID_FRAMES = [
+    json.dumps(frame_to_json_dict(frame))
+    for kind in ("int", "ms4")
+    for frame in enumerate_frames(EnumerationConfig(kind, 3))
+]
+
+JSONISH = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.sampled_from(["int", "ms4", "a"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "points", "R", "Q", "E", "x"]), inner),
+    max_leaves=16,
+).map(json.dumps)
+
+
+@st.composite
+def frame_like(draw) -> str:
+    """Frame JSON with a known kind and random pair lists, often a frame that
+    fails its conditions."""
+    n = draw(st.integers(1, 4))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    data = {"kind": draw(st.sampled_from(["int", "ms4"])), "points": [f"x{i}" for i in range(n)]}
+    for key in ("R", "Q", "E"):
+        data[key] = [[i, i] for i in range(n)] + draw(st.lists(pair, max_size=6))
+    return json.dumps(data)
+
+
+FRAME_FILES = (
+    st.sampled_from(VALID_FRAMES)
+    | frame_like()
+    | JSONISH
+    | st.text(alphabet='{}[],:"0123 intmsQRE4kdp', max_size=40)
+    | st.binary(max_size=20).map(lambda b: b.decode("latin-1"))
+)
+
+FORMULAS = st.sampled_from(
+    ["p", "p | ~p", "box p -> p", "forall p -> p", "exists (p & q)", "~~r -> r", "T", ""]
+) | st.text(alphabet="pqr~&|->() TFboxfralexists", max_size=20)
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv for one of the eight verbs with a random mix of its flags.
+    Frame arguments are the file names "f0" and "f1"; bounds stay small so
+    every example is quick."""
+
+    def flags(*names):
+        return [name for name in names if draw(st.booleans())]
+
+    verb = draw(
+        st.sampled_from(
+            [
+                "check-frame",
+                "validate-formula",
+                "translate",
+                "skeleton",
+                "sigma",
+                "morphisms",
+                "enumerate",
+                "experiment",
+            ]
+        )
+    )
+    if verb == "check-frame":
+        argv = [verb, "f0", *flags("--json")]
+    elif verb == "validate-formula":
+        argv = [verb, "f0", draw(FORMULAS), *flags("--json", "--raw", "--force")]
+    elif verb == "translate":
+        argv = [verb, draw(FORMULAS), *flags("--json")]
+    elif verb in ("skeleton", "sigma"):
+        argv = [verb, "f0", *flags("--json", "--raw")]
+        if draw(st.booleans()):
+            argv += ["-o", "out.json"]
+    elif verb == "morphisms":
+        argv = [verb, "f0", "f1", *flags("--json", "--raw")]
+    elif verb == "enumerate":
+        argv = [verb, "--kind", draw(st.sampled_from(["int", "ms4", "s4"]))]
+        argv += ["--bound", str(draw(st.integers(-1, 4)))]
+        for name in draw(st.lists(st.sampled_from([*FILTERS, "nope"]), max_size=2)):
+            argv += ["--filter", name]
+        argv += flags("--json")
+    else:
+        argv = [verb, draw(st.sampled_from(["all", *ALL_IDS, "nope"]))]
+        if draw(st.booleans()):
+            argv += ["--bound", str(draw(st.integers(-1, 3)))]
+        argv += flags("--json")
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-o"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv(), files=st.lists(FRAME_FILES, min_size=2, max_size=2))
+def test_cli_fuzz_exit_codes(argv, files):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in zip(("f0", "f1"), files):
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
+                handle.write(text)
+        argv = [os.path.join(tmp, a) if a in ("f0", "f1", "out.json") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
