@@ -6,23 +6,30 @@ arbitrary subsets.  The search order is fixed (letters sorted, value masks
 ascending with the last letter varying fastest, points in index order), so
 "the first countermodel" is well defined and reproducible.
 
-A formula is compiled once per call into a postorder program, in which equal
-subformulas share one slot, and the program is evaluated on many valuations
-at a time: each slot holds one int per point whose bit v says whether the
-subformula holds there under valuation v of the current block (bit-slicing
-over the valuation space).  Connectives are bitwise operations, and the
-modalities and the intuitionistic implication AND (or, for `exists`, OR)
-rows over the relevant relation.  Blocks follow the search order and grow
-from a few valuations to a fixed width, so a search stops soon after its
-first refutation; within a block the lowest failing valuation and then its
-lowest failing point are reported, which is the first countermodel above.
+A formula is compiled into a postorder program, in which equal subformulas
+share one slot, and the program is evaluated on many valuations at a time:
+each slot holds one int per point whose bit v says whether the subformula
+holds there under valuation v of the current block (bit-slicing over the
+valuation space).  Connectives are bitwise operations, and the modalities
+and the intuitionistic implication AND (or, for `exists`, OR) rows over the
+relevant relation.  Blocks follow the search order and grow from a few
+valuations to a fixed width, so a search stops soon after its first
+refutation; within a block the lowest failing valuation and then its lowest
+failing point are reported, which is the first countermodel above.
 `truth_set` runs the same evaluator on a block of one valuation.
+
+Nothing is rebuilt per call.  The program names its relations "r" and "s"
+rather than holding them, so it is cached per formula (`_program`, keyed by
+the formula's structural hash); the frame side is cached apart: successor
+lists per relation (`_successors`) and the valuation numbering with its
+letter rows per (kind, order, letter count) (`_layout`).  Every cache is
+bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from . import syntax
 from .frames import BoundExceeded, Frame, Relation, bits, mask_of
@@ -104,18 +111,19 @@ def _check_pair(frame, phi: syntax.Formula) -> None:
         raise ValueError(f"{frame.kind} frames evaluate {LANGUAGE[frame.kind]} formulas")
 
 
-# How each connective compiles, per frame kind: (op, relation).  "all" and
-# "some" quantify over the relation's successors; "imp" with a relation is
-# the intuitionistic implication, the classical one under "all" over r.
+# How each connective compiles, per formula language: (op, relation).  "all"
+# and "some" quantify over the relation's successors; "imp" with a relation
+# is the intuitionistic implication, the classical one under "all" over r.
+# `_check_pair` ties the language to the frame kind.
 _OPS = {
-    "int": {
+    syntax.INT: {
         "and": ("and", None),
         "or": ("or", None),
         "implies": ("imp", "r"),
         "forall": ("all", "s"),
         "exists": ("some", "s"),
     },
-    "ms4": {
+    syntax.MODAL: {
         "and": ("and", None),
         "or": ("or", None),
         "implies": ("imp", None),
@@ -125,21 +133,20 @@ _OPS = {
 }
 
 
-def _compile(frame, phi: syntax.Formula) -> tuple[list[tuple], tuple[str, ...]]:
-    """Postorder program of `phi` on `frame`, and the sorted letters it reads.
+@lru_cache(maxsize=512)
+def _program(phi: syntax.Formula) -> tuple[tuple[tuple, ...], tuple[str, ...]]:
+    """Postorder program of `phi`, and the sorted letters it reads.
 
     Instruction i computes slot i as (op, a, b): ("letter", name, None),
     ("top"|"bottom", None, None), ("and"|"or"|"imp", slot, slot), or
-    ("all"|"some", slot, successor lists of r or of the second relation).
-    `~ A` compiles as `A -> F`.  The walk is iterative and visits each node
-    object once; structurally equal subtrees share one slot, keyed by the
-    instruction, so no Formula is ever hashed.
+    ("all"|"some", slot, "r"|"s"), naming the frame relation to quantify
+    over.  `~ A` compiles as `A -> F`.  The walk is iterative and visits each
+    node object once; structurally equal subtrees share one slot, keyed by
+    the instruction.  The program does not depend on the frame, so it is
+    cached per formula; the cache is bounded because it keeps its formulas
+    alive.
     """
-    ops = _OPS[frame.kind]
-    successors = {
-        label: tuple(tuple(bits(row)) for row in rel.rows)
-        for label, rel in (("r", frame.r), ("s", frame.s))
-    }
+    ops = _OPS[phi.lang]
     program: list[tuple] = []
     slots: dict[tuple, int] = {}
     done: dict[int, int] = {}  # id(node) -> slot
@@ -178,21 +185,33 @@ def _compile(frame, phi: syntax.Formula) -> tuple[list[tuple], tuple[str, ...]]:
                 raise ValueError(f"cannot evaluate formula kind {kind!r} on this frame")
             op, rel = ops[kind]
             if op in ("all", "some"):
-                slot = emit(op, args[0], successors[rel])
+                slot = emit(op, args[0], rel)
             else:
                 slot = emit(op, *args)
                 if rel is not None:
-                    slot = emit("all", slot, successors[rel])
+                    slot = emit("all", slot, rel)
         done[id(node)] = slot
-    return program, tuple(sorted(letters))
+    return tuple(program), tuple(sorted(letters))
 
 
-def _run(program: list[tuple], n: int, inputs: dict[str, list[int]], full: int) -> list[int]:
+@lru_cache(maxsize=4096)
+def _successors(rel: Relation) -> tuple[tuple[int, ...], ...]:
+    """Per point, its successor indices under `rel`, ascending."""
+    return tuple(tuple(bits(row)) for row in rel.rows)
+
+
+def _relations(frame) -> dict[str, tuple[tuple[int, ...], ...]]:
+    """The successor lists a program's "r"/"s" labels name on `frame`."""
+    return {"r": _successors(frame.r), "s": _successors(frame.s)}
+
+
+def _run(program, relations: dict, n: int, inputs: dict[str, list[int]], full: int) -> list[int]:
     """Evaluate `program` on a block of valuations; return the root's rows.
 
     A row is one int per point: bit v is set when the subformula holds at
-    that point under valuation v of the block.  `inputs` holds each letter's
-    rows and `full` has every bit of the block set.
+    that point under valuation v of the block.  `relations` maps "r" and "s"
+    to successor lists, `inputs` holds each letter's rows and `full` has
+    every bit of the block set.
     """
     values: list[list[int]] = []
     for op, a, b in program:
@@ -211,7 +230,7 @@ def _run(program: list[tuple], n: int, inputs: dict[str, list[int]], full: int) 
         elif op == "all":
             inner = values[a]
             out = []
-            for row in b:
+            for row in relations[b]:
                 acc = full
                 for y in row:
                     acc &= inner[y]
@@ -220,7 +239,7 @@ def _run(program: list[tuple], n: int, inputs: dict[str, list[int]], full: int) 
             # "some": y holds it when the body holds at some predecessor of y.
             inner = values[a]
             out = [0] * n
-            for x, row in enumerate(b):
+            for x, row in enumerate(relations[b]):
                 if inner[x]:
                     for y in row:
                         out[y] |= inner[x]
@@ -236,13 +255,14 @@ def truth_set(frame, valuation: Valuation, phi: syntax.Formula) -> int:
         raise ValueError("valuation belongs to a different frame")
     if not valuation.is_admissible():
         raise ValueError("valuation assigns a set that is not an r-upset")
-    program, letters = _compile(frame, phi)
+    program, letters = _program(phi)
     assign = dict(valuation.masks)
     for name in letters:
         if name not in assign:
             raise ValueError(f"valuation does not cover letter {name!r}")
     inputs = {name: [mask >> x & 1 for x in range(frame.n)] for name, mask in assign.items()}
-    return mask_of(x for x, bit in enumerate(_run(program, frame.n, inputs, 1)) if bit)
+    holds = _run(program, _relations(frame), frame.n, inputs, 1)
+    return mask_of(x for x, bit in enumerate(holds) if bit)
 
 
 def satisfies_int(frame: Frame, valuation: Valuation, point: int, phi) -> bool:
@@ -302,6 +322,30 @@ def _letter_rows(space: list[int], n: int, stride: int, reach: int) -> list[int]
     return rows
 
 
+@lru_cache(maxsize=4096)
+def _layout(kind: str, r: Relation, k: int) -> tuple:
+    """How the valuations of `k` letters on a frame of this kind and order
+    are numbered: (space, total, strides, periods, letter rows), all tuples.
+
+    Valuation v gives letter i the mask space[v // strides[i] % len(space)]:
+    the order of product(space, repeat=k).  Raises BoundExceeded, before
+    building any rows, when there are more than VALUATION_BUDGET valuations.
+    """
+    space = tuple(upsets(r) if kind == "int" else subsets(r.n))
+    total = len(space) ** k
+    if total > VALUATION_BUDGET:
+        raise BoundExceeded(
+            f"{len(space)}^{k} valuations to search, budget is {VALUATION_BUDGET}"
+        )
+    strides = tuple(len(space) ** (k - 1 - i) for i in range(k))
+    periods = tuple(len(space) * stride for stride in strides)
+    rows = tuple(
+        tuple(_letter_rows(space, r.n, stride, min(total, period + _MAX_BLOCK)))
+        for stride, period in zip(strides, periods)
+    )
+    return space, total, strides, periods, rows
+
+
 def countermodel(
     frame,
     phi: syntax.Formula,
@@ -317,25 +361,13 @@ def countermodel(
     BoundExceeded before it starts.
     """
     _check_pair(frame, phi)
-    program, letters = _compile(frame, phi)
+    program, letters = _program(phi)
     if frame.n > point_cap:
         raise BoundExceeded(f"frame has {frame.n} points, cap is {point_cap}")
     if len(letters) > letter_cap:
         raise BoundExceeded(f"formula has {len(letters)} letters, cap is {letter_cap}")
-    space = upsets(frame.r) if frame.kind == "int" else subsets(frame.n)
-    total = len(space) ** len(letters)
-    if total > VALUATION_BUDGET:
-        raise BoundExceeded(
-            f"{len(space)}^{len(letters)} valuations to search, budget is {VALUATION_BUDGET}"
-        )
-    # Valuation v gives letter i the mask space[v // strides[i] % len(space)]:
-    # the order of product(space, repeat=len(letters)).
-    strides = [len(space) ** (len(letters) - 1 - i) for i in range(len(letters))]
-    periods = [len(space) * stride for stride in strides]
-    rows = [
-        _letter_rows(space, frame.n, stride, min(total, period + _MAX_BLOCK))
-        for stride, period in zip(strides, periods)
-    ]
+    space, total, strides, periods, rows = _layout(frame.kind, frame.r, len(letters))
+    relations = _relations(frame)
     base, width = 0, _FIRST_BLOCK
     while base < total:
         width = min(width, total - base)
@@ -344,7 +376,7 @@ def countermodel(
             name: [row >> base % period & full for row in letter_rows]
             for name, period, letter_rows in zip(letters, periods, rows)
         }
-        holds = _run(program, frame.n, inputs, full)
+        holds = _run(program, relations, frame.n, inputs, full)
         failing = 0
         for row in holds:
             failing |= full ^ row

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
@@ -54,7 +54,7 @@ class LanguageError(ParseError):
     """A connective that does not belong to the requested language."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Formula:
     """Immutable formula node.
 
@@ -62,12 +62,18 @@ class Formula:
     All nodes of one formula carry the same `lang` tag, and the
     language-specific connectives (`exists` for "int", `box` for "modal")
     are rejected outside their language.
+
+    Each node computes its structural hash once, at construction, from its
+    children's cached hashes, so `hash` takes constant time and formulas can
+    key caches.  Equality is structural; it and the tree walks below use an
+    explicit stack, so arbitrarily deep formulas built in Python are safe.
     """
 
     lang: str
     kind: str
     name: str = ""
     args: tuple["Formula", ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lang not in (INT, MODAL):
@@ -89,26 +95,59 @@ class Formula:
         for arg in self.args:
             if arg.lang != self.lang:
                 raise ValueError("mixed-language formula")
+        object.__setattr__(self, "_hash", hash((self.lang, self.kind, self.name, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a._hash, a.lang, a.kind, a.name) != (b._hash, b.lang, b.kind, b.name):
+                return False
+            stack.extend(zip(a.args, b.args))
+        return True
 
     def letters(self) -> tuple[str, ...]:
         """Sorted tuple of the distinct letter names occurring here."""
         return tuple(sorted({f.name for f in self.subformulas() if f.kind == "letter"}))
 
     def subformulas(self) -> Iterator["Formula"]:
-        yield self
-        for arg in self.args:
-            yield from arg.subformulas()
+        """Every node, preorder: a node, then its arguments left to right."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.args))
+
+    def _height(self, counts) -> int:
+        # Most nodes satisfying `counts` on one root-to-leaf path, computed
+        # once per node object (`<->` shares subtrees).
+        height: dict[int, int] = {}
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            pending = [arg for arg in node.args if id(arg) not in height]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            below = max((height[id(arg)] for arg in node.args), default=0)
+            height[id(node)] = below + counts(node)
+        return height[id(self)]
 
     def depth(self) -> int:
         """Connective nesting depth; atoms have depth 0."""
-        if not self.args:
-            return 0
-        return 1 + max(arg.depth() for arg in self.args)
+        return self._height(lambda node: bool(node.args))
 
     def modal_depth(self) -> int:
         """Nesting depth counting only forall/exists/box."""
-        inner = max((arg.modal_depth() for arg in self.args), default=0)
-        return inner + 1 if self.kind in _QUANTIFIER_KINDS else inner
+        return self._height(lambda node: node.kind in _QUANTIFIER_KINDS)
 
     def __str__(self) -> str:
         return print_formula(self)

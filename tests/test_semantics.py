@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kripkit import semantics
 from kripkit.enumeration import EnumerationConfig, enumerate_frames
 from kripkit.frames import (
     BoundExceeded,
@@ -32,6 +33,10 @@ from kripkit.syntax import (
     MODAL,
     corpus,
     desugar,
+    disj,
+    implies,
+    letter,
+    neg,
     parse,
     print_formula,
     random_formula,
@@ -410,3 +415,102 @@ def test_countermodel_matches_per_valuation_oracle(frame, letters, depth, seed):
     assert (found.valuation.masks, found.point) == expected
     assign = dict(found.valuation.masks)
     assert truth_set(frame, found.valuation, phi) == oracle_truth(frame, assign, phi)
+
+
+# --- caches ---------------------------------------------------------------------
+
+
+def _clear_caches():
+    for cached in (semantics._program, semantics._successors, semantics._layout):
+        cached.cache_clear()
+
+
+def test_equal_formulas_share_one_program(two_point_frame):
+    _clear_caches()
+    text = "forall((p -> forall p) -> forall p) -> forall p"
+    first, second = parse(text), parse(text)
+    assert first is not second
+    assert countermodel(two_point_frame, first) == countermodel(two_point_frame, second)
+    info = semantics._program.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_languages_never_share_a_program(two_point_frame, ms4_chain):
+    _clear_caches()
+    int_p, modal_p = letter("p", INT), letter("p", MODAL)
+    semantics._program(int_p)
+    semantics._program(modal_p)
+    assert semantics._program.cache_info().misses == 2
+    # Excluded middle fails on the int 2-chain and holds classically.
+    assert countermodel(two_point_frame, disj(int_p, neg(int_p))) is not None
+    assert countermodel(ms4_chain, disj(modal_p, neg(modal_p))) is None
+    assert semantics._program(implies(int_p, int_p)) != semantics._program(
+        implies(modal_p, modal_p)
+    )
+
+
+CACHE_POOL = {
+    lang: [
+        random_formula(random.Random(seed), ("p", "q", "r")[: 1 + seed % 3], 4, lang)
+        for seed in range(16)
+    ]
+    for lang in (INT, MODAL)
+}
+
+
+def test_caches_agree_with_oracle_cold_and_warm():
+    # The same formula objects on every frame, frames in both orders, each
+    # order started with empty caches and then repeated with full ones.
+    expected = {}
+
+    def check(frame):
+        lang = INT if isinstance(frame, IntFrame) else MODAL
+        space = upsets(frame.r) if lang == INT else subsets(frame.n)
+        for phi in CACHE_POOL[lang]:
+            key = (frame, phi)
+            if key not in expected:
+                probes = [dict.fromkeys(phi.letters(), m) for m in (space[-1], space[1])]
+                expected[key] = (
+                    oracle_countermodel(frame, phi),
+                    [oracle_truth(frame, assign, phi) for assign in probes],
+                    probes,
+                )
+            countermodel_expected, truths, probes = expected[key]
+            found = countermodel(frame, phi)
+            got = None if found is None else (found.valuation.masks, found.point)
+            assert got == countermodel_expected
+            for assign, truth in zip(probes, truths):
+                valuation = Valuation.from_masks(frame, assign)
+                assert truth_set(frame, valuation, phi) == truth
+
+    for order in (SMALL_FRAMES, SMALL_FRAMES[::-1]):
+        _clear_caches()
+        for frame in order:
+            check(frame)
+        assert semantics._program.cache_info().hits > 0
+        for frame in order:
+            check(frame)
+
+
+def test_deep_formula_built_in_python(two_point_frame):
+    # 5000 negations: no parser limit applies, and hashing, equality, the
+    # walkers, the program cache and the evaluator must all cope.  ~~~~p is ~~p, so the
+    # first countermodel is that of ~~p.
+    def chain(depth):
+        phi = letter("p")
+        for _ in range(depth):
+            phi = neg(phi)
+        return phi
+
+    phi = chain(5000)
+    assert hash(phi) == hash(chain(5000))
+    assert phi == chain(5000) and phi != chain(4999)
+    assert phi.letters() == ("p",)
+    assert (phi.depth(), phi.modal_depth()) == (5000, 0)
+    assert sum(1 for _ in phi.subformulas()) == 5001
+    short = countermodel(two_point_frame, chain(2))
+    assert short is not None
+    for deep in (phi, chain(5000)):
+        found = countermodel(two_point_frame, deep)
+        assert (found.valuation, found.point) == (short.valuation, short.point)
+    assert countermodel(two_point_frame, implies(chain(5001), chain(1))) is None

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kripkit.syntax import (
@@ -193,6 +193,41 @@ class TestFormula:
     def test_str(self):
         phi = parse("p -> q & r")
         assert str(phi) == print_formula(phi) == "p -> q & r"
+
+    @pytest.mark.parametrize("lang", [INT, MODAL])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_walkers_match_recursive_oracle(self, lang, data):
+        # The recursive walkers the explicit-stack ones replaced.
+        def subformulas(phi):
+            yield phi
+            for arg in phi.args:
+                yield from subformulas(arg)
+
+        def depth(phi):
+            return 1 + max(depth(arg) for arg in phi.args) if phi.args else 0
+
+        def modal_depth(phi):
+            inner = max((modal_depth(arg) for arg in phi.args), default=0)
+            return inner + (phi.kind in ("forall", "exists", "box"))
+
+        def rebuild(phi):
+            return Formula(phi.lang, phi.kind, phi.name, tuple(rebuild(a) for a in phi.args))
+
+        phi = data.draw(formulas(lang))
+        other = data.draw(formulas(lang))
+        assert [id(f) for f in phi.subformulas()] == [id(f) for f in subformulas(phi)]
+        names = {f.name for f in subformulas(phi) if f.kind == "letter"}
+        assert phi.letters() == tuple(sorted(names))
+        assert phi.depth() == depth(phi)
+        assert phi.modal_depth() == modal_depth(phi)
+        assert hash(phi) == hash((phi.lang, phi.kind, phi.name, phi.args))
+        copy = rebuild(phi)
+        assert copy is not phi and copy == phi and hash(copy) == hash(phi)
+        def structural(f):
+            return (f.lang, f.kind, f.name, tuple(map(structural, f.args)))
+
+        assert (phi == other) == (structural(phi) == structural(other))
 
 
 class TestPrinter:
