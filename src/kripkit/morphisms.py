@@ -13,14 +13,21 @@ assigned in index order, target values are tried in ascending order, so maps
 come out in lexicographic order of the image tuple.  A branch is cut as soon
 as an assigned pair breaks the forth condition of either relation, a point
 whose successors are all assigned breaks the back condition, or (for
-reductions) too few source points remain to hit every target point.  Every
-morphism passes those tests, and each complete map is confirmed by the exact
-predicate, so the search finds exactly the morphisms.
+reductions) too few source points remain to hit every target point.
+
+Every morphism passes those tests.  A complete map that passed them
+satisfies back-and-forth for both relations and, for a reduction, is onto,
+so it is already a modal morphism; an intuitionistic map is checked only for
+the converse q-predecessor condition.  The tables the search reads are built
+once per frame, not per call, and kept in small bounded caches keyed by the
+frame: the source side (forth pairs, loop flags, back schedule,
+q-predecessors) and the target side (rows, converse rows, loop masks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .frames import BoundExceeded, Frame, IntFrame, MS4Frame, bits
@@ -30,8 +37,10 @@ REDUCTION_SOURCE_CAP = 6
 
 def _image_of(mask: int, image: Sequence[int]) -> int:
     out = 0
-    for i in bits(mask):
-        out |= 1 << image[i]
+    while mask:
+        low = mask & -mask
+        out |= 1 << image[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -138,67 +147,109 @@ def is_reduction(f: FrameMap) -> bool:
     return f.is_onto() and _is_morphism(f)
 
 
+@lru_cache(maxsize=64)
+def _source_tables(source: Frame):
+    """What the search needs of its source alone, per point x: the loop
+    flag for each relation; the forth pairs (t, y), one per earlier
+    predecessor y of x (t = 0 for r, 2 for s) and per earlier successor
+    (t = 1, 3), naming the target table that bounds x's value; the points
+    whose rows are fully assigned once x is, each with its row; for
+    intuitionistic frames also the q-predecessors of every point."""
+    n = source.n
+    rels = (source.r, source.s)
+    loops = tuple(tuple(rel.has(x, x) for rel in rels) for x in range(n))
+    forth = [[] for _ in range(n)]
+    back = [[] for _ in range(n)]
+    for k, rel in enumerate(rels):
+        for y, row in enumerate(rel.rows):
+            for x in bits(row):
+                if y < x:
+                    forth[x].append((2 * k, y))
+                elif x < y:
+                    forth[y].append((2 * k + 1, x))
+            back[max(y, row.bit_length() - 1)].append((2 * k, y, tuple(bits(row))))
+    q_preds = None
+    if source.kind == "int":
+        q_preds = tuple(tuple(bits(row)) for row in source.q.converse().rows)
+    return loops, tuple(map(tuple, forth)), tuple(map(tuple, back)), q_preds
+
+
+@lru_cache(maxsize=64)
+def _target_tables(target: Frame):
+    """What the search needs of its target alone: the rows and converse
+    rows of r and of s, and each relation's mask of points with a loop."""
+    r, s = target.r, target.s
+    tables = (r.rows, r.converse().rows, s.rows, s.converse().rows)
+    loops = tuple(
+        sum(1 << v for v in range(target.n) if rel.has(v, v)) for rel in (r, s)
+    )
+    return tables, loops
+
+
 def _search(source, target, onto: bool) -> list[FrameMap]:
     """Morphisms from `source` to `target` (onto ones only when `onto`), in
     lexicographic order of the image tuple."""
     if source.kind != target.kind:
         raise ValueError("frames must be of the same kind")
     n, m = source.n, target.n
+    if onto and m > n:
+        return []
+    loops, forth, back, q_preds = _source_tables(source)
+    tables, (r_loops, s_loops) = _target_tables(target)
+    r_conv, s_conv = tables[1], tables[3]
     everything = (1 << m) - 1
-    # Forth, per point x and relation: the earlier predecessors and
-    # successors of x, the target points its own loop allows, and the
-    # target rows.
-    forth = []
-    # Back, per point x: the (y, source row, target rows) whose row is fully
-    # assigned once x is.
-    back = [[] for _ in range(n)]
-    for rel_s, rel_t in ((source.r, target.r), (source.s, target.s)):
-        loops = sum(1 << v for v in range(m) if rel_t.has(v, v))
-        for y, row in enumerate(rel_s.rows):
-            back[max(y, row.bit_length() - 1)].append((y, row, rel_t.rows))
-        forth.append(
-            [
-                (
-                    rel_s.preimage(1 << x) & ((1 << x) - 1),
-                    rel_s.rows[x] & ((1 << x) - 1),
-                    loops if rel_s.has(x, x) else everything,
-                    rel_t.rows,
-                )
-                for x in range(n)
-            ]
-        )
+    # Target values each point's own loops allow.
+    start = [
+        (r_loops if r_loop else everything) & (s_loops if s_loop else everything)
+        for r_loop, s_loop in loops
+    ]
     image = [0] * n
+    # bit[x] == 1 << image[x] for every assigned x.
+    bit = [0] * n
     out = []
+
+    def converse_holds() -> bool:
+        # Forth, back and onto-ness are enforced by the search; the converse
+        # q-predecessor condition (`_condition4`) is not.
+        for x in range(n):
+            reached = 0
+            for y in q_preds[x]:
+                reached |= r_conv[image[y]]
+            if reached != s_conv[image[x]]:
+                return False
+        return True
 
     def extend(x: int, hit: int) -> None:
         if x == n:
-            f = FrameMap(source, target, tuple(image))
-            if _is_morphism(f):
-                out.append(f)
+            if q_preds is None or converse_holds():
+                out.append(FrameMap(source, target, tuple(image)))
             return
-        allowed = everything
-        needs = []
-        for per_point in forth:
-            preds, succs, self_ok, rows = per_point[x]
-            allowed &= self_ok
-            for y in bits(preds):
-                allowed &= rows[image[y]]
-            needs.append((_image_of(succs, image), rows))
-        for v in bits(allowed):
-            if any(reached & ~rows[v] for reached, rows in needs):
+        # Forth: x's value must be a successor of the image of every
+        # earlier predecessor, and a predecessor of the image of every
+        # earlier successor.
+        allowed = start[x]
+        for t, y in forth[x]:
+            allowed &= tables[t][image[y]]
+        left = n - 1 - x
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            seen = hit | low
+            if onto and m - seen.bit_count() > left:
                 continue
-            image[x] = v
-            if any(
-                rows[image[y]] != _image_of(row, image) for y, row, rows in back[x]
-            ):
-                continue
-            seen = hit | 1 << v
-            if onto and m - seen.bit_count() > n - 1 - x:
-                continue
-            extend(x + 1, seen)
+            image[x] = low.bit_length() - 1
+            bit[x] = low
+            # Back: a fully assigned row must map onto the target row.
+            for t, y, row in back[x]:
+                reached = 0
+                for z in row:
+                    reached |= bit[z]
+                if tables[t][image[y]] != reached:
+                    break
+            else:
+                extend(x + 1, seen)
 
-    if not onto or m <= n:
-        extend(0, 0)
+    extend(0, 0)
     return out
 
 

@@ -232,13 +232,14 @@ def _run_translation(bound: int) -> tuple[int, list[str]]:
 
 def _run_sigma_functor(bound: int) -> tuple[int, list[str]]:
     clean = _enumerate("int", bound, "m_plus")
+    expansions = [sigma(frame) for frame in clean]
     instances = 0
     failures = []
-    for source in clean:
-        for target in clean:
+    for source, source_expansion in zip(clean, expansions):
+        for target, target_expansion in zip(clean, expansions):
             for f in enumerate_morphisms(source, target):
                 instances += 1
-                expanded = FrameMap(sigma(source), sigma(target), f.image)
+                expanded = FrameMap(source_expansion, target_expansion, f.image)
                 if not is_ms4_morphism(expanded):
                     failures.append(
                         f"{_frame_label(source)} -> {_frame_label(target)} "

@@ -265,6 +265,26 @@ def test_search_matches_brute_force_on_small_frames(kind):
             assert_search_matches_oracle(source, target)
 
 
+def test_search_tables_cached_per_frame_stay_correct():
+    # Cold caches first, then warm ones with the pairs in reverse order: a
+    # table reused for the wrong frame would change some pair's maps.
+    morphisms._source_tables.cache_clear()
+    morphisms._target_tables.cache_clear()
+    pairs = [
+        (source, target)
+        for frames in (int_frames(3), ms4_frames(3))
+        for source in frames
+        for target in frames
+    ]
+    for source, target in pairs:
+        assert_search_matches_oracle(source, target)
+    cold_hits = morphisms._source_tables.cache_info().hits
+    for source, target in reversed(pairs):
+        assert_search_matches_oracle(source, target)
+    assert morphisms._source_tables.cache_info().hits > cold_hits
+    assert morphisms._target_tables.cache_info().hits > 0
+
+
 @pytest.mark.parametrize("kind", ["int", "ms4"])
 def test_search_matches_brute_force_on_disjoint_unions(kind):
     # Five- and six-point sources: a+a onto a always has the fold, a+b onto
