@@ -14,6 +14,10 @@ The package is organized around five layers:
   reductions along the quotient.
 - `enumeration` / `workbench` / `cli`: frame generation up to isomorphism,
   scripted experiments with reproducible reports, and the command line.
+
+The names below state the paper's claims or serve the experiments and the
+command line; test oracles such as `find_isomorphism`, `canonical_form` and
+`desugar` stay in their modules.
 """
 
 from .syntax import (
@@ -21,7 +25,6 @@ from .syntax import (
     LanguageError,
     ParseError,
     corpus,
-    desugar,
     godel_translate,
     parse,
     print_formula,
@@ -47,11 +50,9 @@ from .semantics import (
     Valuation,
     countermodel,
     frame_validates,
-    satisfies_int,
-    satisfies_ms4,
     truth_set,
 )
-from .functors import QuotientMap, find_isomorphism, sigma, skeleton, skeleton_map
+from .functors import QuotientMap, sigma, skeleton, skeleton_map
 from .morphisms import (
     FrameMap,
     condition4_eform,
@@ -62,14 +63,13 @@ from .morphisms import (
     is_reduction,
     lift_reduction,
 )
-from .enumeration import EnumerationConfig, canonical_form, enumerate_frames
+from .enumeration import EnumerationConfig, enumerate_frames
 from .workbench import (
     ExperimentReport,
     experiment_ids,
     load_frame,
     run_all,
     run_experiment,
-    saturate,
     save_frame,
 )
 
@@ -81,7 +81,6 @@ __all__ = [
     "LanguageError",
     "parse",
     "print_formula",
-    "desugar",
     "godel_translate",
     "star_translate",
     "corpus",
@@ -101,15 +100,12 @@ __all__ = [
     "Valuation",
     "Countermodel",
     "truth_set",
-    "satisfies_int",
-    "satisfies_ms4",
     "frame_validates",
     "countermodel",
     "QuotientMap",
     "skeleton",
     "skeleton_map",
     "sigma",
-    "find_isomorphism",
     "FrameMap",
     "is_p_morphism",
     "is_mipc_morphism",
@@ -120,13 +116,11 @@ __all__ = [
     "lift_reduction",
     "EnumerationConfig",
     "enumerate_frames",
-    "canonical_form",
     "ExperimentReport",
     "experiment_ids",
     "run_experiment",
     "run_all",
     "load_frame",
     "save_frame",
-    "saturate",
     "__version__",
 ]

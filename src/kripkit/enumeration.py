@@ -26,7 +26,16 @@ from itertools import permutations
 from operator import itemgetter
 
 from . import semantics, syntax
-from .frames import FRAME_TYPES, BoundExceeded, Relation, bits, commuting, qe
+from .frames import (
+    FRAME_TYPES,
+    BoundExceeded,
+    Relation,
+    bits,
+    commuting,
+    has_clean_clusters,
+    is_finite_mgrz,
+    qe,
+)
 
 MAX_ENUM_POINTS = 5
 CANONICAL_MAX = 7
@@ -255,8 +264,6 @@ def _casari_image_valid(frame) -> bool:
 
 
 def _passes_filters(frame, filters: frozenset[str]) -> bool:
-    from .frames import has_clean_clusters, is_finite_mgrz
-
     for name in sorted(filters):
         if name == "m_plus" and not has_clean_clusters(frame):
             return False

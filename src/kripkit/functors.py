@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .frames import IntFrame, MS4Frame, Relation, bits, er, qe
-from .morphisms import FrameMap, is_ms4_morphism
+from .morphisms import FrameMap, _image_of, is_ms4_morphism
 
 
 @dataclass(frozen=True)
@@ -52,23 +52,17 @@ def skeleton(frame: MS4Frame) -> tuple[IntFrame, QuotientMap]:
             class_index[y] = k
     classes = tuple(tuple(bits(cluster.rows[rep])) for rep in reps)
     m = len(reps)
-    coarse = qe(frame.r, frame.e)
-    r_rows = []
-    q_rows = []
-    for a in range(m):
-        r_row = 0
-        q_row = 0
-        for b in range(m):
-            if frame.r.has(reps[a], reps[b]):
-                r_row |= 1 << b
-            if coarse.has(reps[a], reps[b]):
-                q_row |= 1 << b
-        r_rows.append(r_row)
-        q_rows.append(q_row)
+    # Reading each row at the representatives alone keeps the quotient
+    # defined by representatives even where e does not commute with r.
+    at_reps = sum(1 << x for x in reps)
+    r_rows, q_rows = (
+        tuple(_image_of(rel.rows[x] & at_reps, class_index) for x in reps)
+        for rel in (frame.r, qe(frame.r, frame.e))
+    )
     names = tuple(
         "+".join(frame.points[i] for i in members) for members in classes
     )
-    quotient = IntFrame(names, Relation(m, tuple(r_rows)), Relation(m, tuple(q_rows)))
+    quotient = IntFrame(names, Relation(m, r_rows), Relation(m, q_rows))
     return quotient, QuotientMap(frame, quotient, tuple(class_index), classes)
 
 

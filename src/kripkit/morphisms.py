@@ -22,15 +22,21 @@ the converse q-predecessor condition.  The tables the search reads are built
 once per frame, not per call, and kept in small bounded caches keyed by the
 frame: the source side (forth pairs, loop flags, back schedule,
 q-predecessors) and the target side (rows, converse rows, loop masks).
+
+`lift_reduction` composes a reduction of a modal frame's quotient onto a
+clean frame with the projection `skeleton` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .frames import BoundExceeded, Frame, IntFrame, MS4Frame, bits
+from .frames import BoundExceeded, Frame, IntFrame, MS4Frame, bits, has_clean_clusters
+
+if TYPE_CHECKING:
+    from .functors import QuotientMap
 
 REDUCTION_SOURCE_CAP = 6
 
@@ -270,31 +276,27 @@ def enumerate_reductions(source, target) -> list[FrameMap]:
     return _search(source, target, onto=True)
 
 
-def lift_reduction(modal_source: MS4Frame, int_target: IntFrame, f: FrameMap) -> FrameMap:
+def lift_reduction(projection: QuotientMap, f: FrameMap) -> FrameMap:
     """Lift a reduction of the quotient to the modal level.
 
-    Given a modal frame H, a reduction f from the quotient of H onto an
+    Given the projection of a modal frame H onto its quotient (as returned
+    by `skeleton(H)`) and a reduction f from that quotient onto an
     intuitionistic frame F whose clusters are clean, build the composite
-    g = f after the quotient map and return it as a map from H onto the
-    modal expansion of F.  The result is checked to be an onto modal
-    morphism before being returned.
+    g = f after the projection and return it as a map from H onto the modal
+    expansion of F.  The result is checked to be an onto modal morphism
+    before being returned.
     """
-    from .functors import sigma, skeleton
+    # functors imports this module, so sigma is imported at call time.
+    from .functors import sigma
 
-    from .frames import has_clean_clusters
-
-    if not has_clean_clusters(int_target):
+    if not has_clean_clusters(f.target):
         raise ValueError("target must have clean clusters")
-    quotient, projection = skeleton(modal_source)
-    if f.source != quotient:
+    if f.source != projection.target:
         raise ValueError("map source is not the quotient of the modal frame")
-    if f.target != int_target:
-        raise ValueError("map target mismatch")
     if not (f.is_onto() and is_mipc_morphism(f)):
         raise ValueError("map is not a reduction")
-    expansion = sigma(int_target)
-    image = tuple(f.image[projection.class_index[x]] for x in range(modal_source.n))
-    g = FrameMap(modal_source, expansion, image)
+    image = tuple(f.image[k] for k in projection.class_index)
+    g = FrameMap(projection.source, sigma(f.target), image)
     if not (g.is_onto() and is_ms4_morphism(g)):
         raise RuntimeError("lifting failed to produce a reduction")
     return g

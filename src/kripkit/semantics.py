@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from . import syntax
-from .frames import BoundExceeded, Frame, Relation, bits, mask_of
+from .frames import BoundExceeded, Frame, Relation, bits, frame_to_json_dict, mask_of
 
 LETTER_CAP = 3
 POINT_CAP = 6
@@ -265,14 +265,6 @@ def truth_set(frame, valuation: Valuation, phi: syntax.Formula) -> int:
     return mask_of(x for x, bit in enumerate(holds) if bit)
 
 
-def satisfies_int(frame: Frame, valuation: Valuation, point: int, phi) -> bool:
-    """Whether `phi` holds at `point`; one function for both frame kinds."""
-    return bool(truth_set(frame, valuation, phi) >> point & 1)
-
-
-satisfies_ms4 = satisfies_int
-
-
 @dataclass(frozen=True)
 class Countermodel:
     """First refuting valuation and point found for a formula on a frame."""
@@ -283,8 +275,6 @@ class Countermodel:
     formula: syntax.Formula
 
     def to_json_dict(self) -> dict:
-        from .frames import frame_to_json_dict
-
         return {
             "frame": frame_to_json_dict(self.frame),
             "valuation": self.valuation.to_json_dict(),

@@ -37,7 +37,6 @@ _ARITY = {
     "implies": 2,
 }
 
-_QUANTIFIER_KINDS = ("forall", "exists", "box")
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _KEYWORDS = frozenset(("forall", "exists", "box"))
 
@@ -147,7 +146,7 @@ class Formula:
 
     def modal_depth(self) -> int:
         """Nesting depth counting only forall/exists/box."""
-        return self._height(lambda node: node.kind in _QUANTIFIER_KINDS)
+        return self._height(lambda node: node.kind in _KEYWORDS)
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -553,10 +552,6 @@ def corpus(name: str) -> list[Formula]:
     "casari_translated".
     """
     return list(_corpus(name))
-
-
-def corpus_names() -> tuple[str, ...]:
-    return tuple(sorted(_CORPUS_TEXTS)) + ("casari_translated",)
 
 
 def random_formula(

@@ -188,12 +188,12 @@ def test_criterion_08_lifting_claim():
     failures = []
     checked = 0
     for modal in _enumerated("ms4", 4):
-        quotient, _ = skeleton(modal)
+        quotient, projection = skeleton(modal)
         for target in targets:
             for f in enumerate_reductions(quotient, target):
                 checked += 1
                 try:
-                    lifted = lift_reduction(modal, target, f)
+                    lifted = lift_reduction(projection, f)
                 except ValueError as exc:
                     failures.append(f"{modal.points} -> {target.points}: {exc}")
                     continue

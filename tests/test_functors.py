@@ -61,6 +61,18 @@ class TestSkeleton:
         assert projection.class_index == (0, 0, 1)
         assert validate_int_frame(quotient).ok
 
+    def test_raw_frame_quotient_reads_representatives(self):
+        # e does not commute with r: a reaches c by r then e, but not b, the
+        # least member of c's cluster, so the class of a does not q-see it.
+        frame = MS4Frame(
+            ("a", "b", "c"),
+            Relation.from_pairs(3, [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)]),
+            Relation.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]),
+        )
+        quotient, _ = skeleton(frame)
+        assert quotient.points == ("a", "b+c")
+        assert quotient.q.pairs() == [(0, 0), (1, 0), (1, 1)]
+
     def test_quotient_always_valid(self):
         for frame in enumerate_frames(EnumerationConfig("ms4", 3)):
             quotient, _ = skeleton(frame)

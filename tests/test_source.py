@@ -1,9 +1,60 @@
 """Rules about the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import kripkit
+
+PUBLIC = [
+    "Formula",
+    "ParseError",
+    "LanguageError",
+    "parse",
+    "print_formula",
+    "godel_translate",
+    "star_translate",
+    "corpus",
+    "Relation",
+    "IntFrame",
+    "MS4Frame",
+    "BoundExceeded",
+    "InvalidFrameError",
+    "validate_int_frame",
+    "validate_ms4_frame",
+    "er",
+    "qe",
+    "has_clean_clusters",
+    "max_points",
+    "grz_max_check",
+    "is_finite_mgrz",
+    "Valuation",
+    "Countermodel",
+    "truth_set",
+    "frame_validates",
+    "countermodel",
+    "QuotientMap",
+    "skeleton",
+    "skeleton_map",
+    "sigma",
+    "FrameMap",
+    "is_p_morphism",
+    "is_mipc_morphism",
+    "condition4_eform",
+    "is_ms4_morphism",
+    "is_reduction",
+    "enumerate_reductions",
+    "lift_reduction",
+    "EnumerationConfig",
+    "enumerate_frames",
+    "ExperimentReport",
+    "experiment_ids",
+    "run_experiment",
+    "run_all",
+    "load_frame",
+    "save_frame",
+    "__version__",
+]
 
 
 def test_source_has_no_assert():
@@ -15,3 +66,39 @@ def test_source_has_no_assert():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert not found, found
+
+
+def test_no_function_local_imports():
+    # Imports belong at module top.  The one exception is a real cycle:
+    # functors imports morphisms, so lift_reduction imports sigma at call time.
+    allowed = {("morphisms.py", "lift_reduction", "from .functors import sigma")}
+    found = set()
+    for path in sorted(Path(kripkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.add((path.name, func.name, ast.unparse(node)))
+    assert found == allowed
+
+
+def test_public_surface():
+    assert kripkit.__all__ == PUBLIC
+    assert all(hasattr(kripkit, name) for name in kripkit.__all__)
+    # The benchmark's tracer patches these names in their defining modules.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"
+    ]
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in traced.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"kripkit.{layer}"), name)
+    ]
+    assert not missing, missing

@@ -33,7 +33,6 @@ from kripkit.workbench import (
     load_frame,
     run_all,
     run_experiment,
-    saturate,
     save_frame,
     translation_formulas,
 )
@@ -180,11 +179,6 @@ def test_load_validates_by_default(tmp_path):
     frame = load_frame(str(path), raw=True)
     report = validate_int_frame(frame)
     assert [v.condition for v in report.violations] == ["q-witness"]
-
-
-def test_saturate():
-    closed = saturate(3, [(0, 1), (1, 2)])
-    assert set(closed.pairs()) == {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)}
 
 
 # --- command line -------------------------------------------------------------
