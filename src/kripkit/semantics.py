@@ -18,12 +18,21 @@ refutation; within a block the lowest failing valuation and then its lowest
 failing point are reported, which is the first countermodel above.
 `truth_set` runs the same evaluator on a block of one valuation.
 
+Validity needs a yes or no, not a first countermodel, so `validities`
+decides a whole pool of formulas in one pass.  A formula reads only its own
+letters, so it is valid iff it holds under every valuation of any larger set
+of letters; the pool's programs are merged into one, with shared slots and
+one root per formula, and run over the valuations of the pool's letters
+until every root is refuted or the space is exhausted.  `frame_validates`
+is its one-formula case; `countermodel` still reports the first
+countermodel of one formula.
+
 Nothing is rebuilt per call.  The program names its relations "r" and "s"
 rather than holding them, so it is cached per formula (`_program`, keyed by
-the formula's structural hash); the frame side is cached apart: successor
-lists per relation (`_successors`) and the valuation numbering with its
-letter rows per (kind, order, letter count) (`_layout`).  Every cache is
-bounded.
+the formula's structural hash) and per pool (`_pool_program`); the frame
+side is cached apart: successor lists per relation (`_successors`) and the
+valuation numbering with its letter rows per (kind, order, letter count)
+(`_layout`).  Every cache is bounded.
 """
 
 from __future__ import annotations
@@ -194,6 +203,40 @@ def _program(phi: syntax.Formula) -> tuple[tuple[tuple, ...], tuple[str, ...]]:
     return tuple(program), tuple(sorted(letters))
 
 
+@lru_cache(maxsize=512)
+def _pool_program(
+    formulas: tuple[syntax.Formula, ...],
+) -> tuple[tuple[tuple, ...], tuple[int, ...], tuple[str, ...]]:
+    """One program for a pool: (program, each formula's root slot, the sorted
+    letters of the pool).
+
+    Each formula's `_program` is renumbered into the merged one by
+    instruction key, so equal subformulas, and equal formulas, share slots.
+    For one formula the merged program is its own program.
+    """
+    program: list[tuple] = []
+    slots: dict[tuple, int] = {}
+    roots = []
+    letters = set()
+    for phi in formulas:
+        own, own_letters = _program(phi)
+        letters.update(own_letters)
+        local: list[int] = []
+        for op, a, b in own:
+            if op in ("and", "or", "imp"):
+                a, b = local[a], local[b]
+            elif op in ("all", "some"):
+                a = local[a]
+            instruction = (op, a, b)
+            slot = slots.get(instruction)
+            if slot is None:
+                slot = slots[instruction] = len(program)
+                program.append(instruction)
+            local.append(slot)
+        roots.append(local[-1])
+    return tuple(program), tuple(roots), tuple(sorted(letters))
+
+
 @lru_cache(maxsize=4096)
 def _successors(rel: Relation) -> tuple[tuple[int, ...], ...]:
     """Per point, its successor indices under `rel`, ascending."""
@@ -205,8 +248,10 @@ def _relations(frame) -> dict[str, tuple[tuple[int, ...], ...]]:
     return {"r": _successors(frame.r), "s": _successors(frame.s)}
 
 
-def _run(program, relations: dict, n: int, inputs: dict[str, list[int]], full: int) -> list[int]:
-    """Evaluate `program` on a block of valuations; return the root's rows.
+def _run(
+    program, relations: dict, n: int, inputs: dict[str, list[int]], full: int
+) -> list[list[int]]:
+    """Evaluate `program` on a block of valuations; return every slot's rows.
 
     A row is one int per point: bit v is set when the subformula holds at
     that point under valuation v of the block.  `relations` maps "r" and "s"
@@ -244,7 +289,7 @@ def _run(program, relations: dict, n: int, inputs: dict[str, list[int]], full: i
                     for y in row:
                         out[y] |= inner[x]
         values.append(out)
-    return values[-1]
+    return values
 
 
 def truth_set(frame, valuation: Valuation, phi: syntax.Formula) -> int:
@@ -261,7 +306,7 @@ def truth_set(frame, valuation: Valuation, phi: syntax.Formula) -> int:
         if name not in assign:
             raise ValueError(f"valuation does not cover letter {name!r}")
     inputs = {name: [mask >> x & 1 for x in range(frame.n)] for name, mask in assign.items()}
-    holds = _run(program, _relations(frame), frame.n, inputs, 1)
+    holds = _run(program, _relations(frame), frame.n, inputs, 1)[-1]
     return mask_of(x for x, bit in enumerate(holds) if bit)
 
 
@@ -336,6 +381,16 @@ def _layout(kind: str, r: Relation, k: int) -> tuple:
     return space, total, strides, periods, rows
 
 
+def _checked_layout(frame, letters, letter_cap: int, point_cap: int, subject: str) -> tuple:
+    """The caps, then `_layout`'s budget: each raises BoundExceeded before
+    any valuation is evaluated."""
+    if frame.n > point_cap:
+        raise BoundExceeded(f"frame has {frame.n} points, cap is {point_cap}")
+    if len(letters) > letter_cap:
+        raise BoundExceeded(f"{subject} has {len(letters)} letters, cap is {letter_cap}")
+    return _layout(frame.kind, frame.r, len(letters))
+
+
 def countermodel(
     frame,
     phi: syntax.Formula,
@@ -352,11 +407,9 @@ def countermodel(
     """
     _check_pair(frame, phi)
     program, letters = _program(phi)
-    if frame.n > point_cap:
-        raise BoundExceeded(f"frame has {frame.n} points, cap is {point_cap}")
-    if len(letters) > letter_cap:
-        raise BoundExceeded(f"formula has {len(letters)} letters, cap is {letter_cap}")
-    space, total, strides, periods, rows = _layout(frame.kind, frame.r, len(letters))
+    space, total, strides, periods, rows = _checked_layout(
+        frame, letters, letter_cap, point_cap, "formula"
+    )
     relations = _relations(frame)
     base, width = 0, _FIRST_BLOCK
     while base < total:
@@ -366,7 +419,7 @@ def countermodel(
             name: [row >> base % period & full for row in letter_rows]
             for name, period, letter_rows in zip(letters, periods, rows)
         }
-        holds = _run(program, relations, frame.n, inputs, full)
+        holds = _run(program, relations, frame.n, inputs, full)[-1]
         failing = 0
         for row in holds:
             failing |= full ^ row
@@ -385,6 +438,44 @@ def countermodel(
     return None
 
 
+def validities(
+    frame,
+    formulas,
+    *,
+    letter_cap: int = LETTER_CAP,
+    point_cap: int = POINT_CAP,
+) -> tuple[bool, ...]:
+    """For each formula of the pool, whether `frame` validates it.
+
+    One merged program runs over the valuations of the pool's letters, so
+    the letter cap and VALUATION_BUDGET apply to the pool, not to each
+    formula; everything is checked, and BoundExceeded or ValueError raised,
+    before any valuation is evaluated.  The search stops once every formula
+    is refuted.
+    """
+    formulas = tuple(formulas)
+    for phi in formulas:
+        _check_pair(frame, phi)
+    program, roots, letters = _pool_program(formulas)
+    _, total, _, periods, rows = _checked_layout(frame, letters, letter_cap, point_cap, "pool")
+    relations = _relations(frame)
+    n = frame.n
+    holding = set(roots)
+    base, width = 0, _FIRST_BLOCK
+    while base < total and holding:
+        width = min(width, total - base)
+        full = (1 << width) - 1
+        inputs = {
+            name: [row >> base % period & full for row in letter_rows]
+            for name, period, letter_rows in zip(letters, periods, rows)
+        }
+        values = _run(program, relations, n, inputs, full)
+        holding = {root for root in holding if values[root].count(full) == n}
+        base += width
+        width = min(4 * width, _MAX_BLOCK)
+    return tuple([root in holding for root in roots])
+
+
 def frame_validates(
     frame,
     phi: syntax.Formula,
@@ -393,4 +484,4 @@ def frame_validates(
     point_cap: int = POINT_CAP,
 ) -> bool:
     """True when every admissible valuation makes `phi` true everywhere."""
-    return countermodel(frame, phi, letter_cap=letter_cap, point_cap=point_cap) is None
+    return validities(frame, (phi,), letter_cap=letter_cap, point_cap=point_cap)[0]

@@ -18,6 +18,7 @@ from kripkit.frames import (
     mask_of,
 )
 from kripkit.semantics import (
+    VALUATION_BUDGET,
     Valuation,
     countermodel,
     frame_validates,
@@ -25,20 +26,25 @@ from kripkit.semantics import (
     subsets,
     truth_set,
     upsets,
+    validities,
 )
 from kripkit.syntax import (
     INT,
     MODAL,
+    bottom,
     corpus,
     desugar,
     disj,
+    godel_translate,
     implies,
     letter,
     neg,
     parse,
     print_formula,
     random_formula,
+    top,
 )
+from kripkit.workbench import translation_formulas
 
 
 def satisfies(frame, valuation: Valuation, point: int, phi) -> bool:
@@ -417,6 +423,88 @@ def test_countermodel_matches_per_valuation_oracle(frame, letters, depth, seed):
     assert (found.valuation.masks, found.point) == expected
     assign = dict(found.valuation.masks)
     assert truth_set(frame, found.valuation, phi) == oracle_truth(frame, assign, phi)
+
+
+# --- formula pools --------------------------------------------------------------
+# `validities` against one `countermodel` search per formula.
+
+
+def _one_by_one(frame, pool) -> tuple[bool, ...]:
+    return tuple(countermodel(frame, phi) is None for phi in pool)
+
+
+TRANSLATION_POOLS = {INT: translation_formulas()}
+TRANSLATION_POOLS[MODAL] = [godel_translate(phi) for phi in TRANSLATION_POOLS[INT]]
+
+
+def test_validities_match_countermodel_on_the_translation_pools():
+    for frame in SMALL_FRAMES:
+        pool = TRANSLATION_POOLS[INT if isinstance(frame, IntFrame) else MODAL]
+        assert validities(frame, pool) == _one_by_one(frame, pool)
+
+
+POOL_LETTERS = ((), ("p",), ("q",), ("p", "q"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    frame=st.sampled_from(SMALL_FRAMES),
+    drawn=st.lists(
+        st.tuples(st.sampled_from(POOL_LETTERS), st.integers(0, 4), st.integers(0, 2**32)),
+        min_size=1,
+        max_size=6,
+    ),
+    picks=st.lists(st.integers(0, 63), max_size=12),
+)
+def test_validities_match_countermodel_on_drawn_pools(frame, drawn, picks):
+    # Candidates: the constants, letter-free, one- and two-letter formulas,
+    # each drawn formula twice as equal but distinct objects.  A pick of the
+    # same candidate twice repeats one object.
+    lang = INT if isinstance(frame, IntFrame) else MODAL
+    candidates = [top(lang), bottom(lang)] + [
+        random_formula(random.Random(seed), letters, depth, lang)
+        for _ in range(2)
+        for letters, depth, seed in drawn
+    ]
+    pool = [candidates[i % len(candidates)] for i in picks]
+    expected = _one_by_one(frame, pool)
+    assert validities(frame, pool) == expected
+    assert tuple(frame_validates(frame, phi) for phi in pool) == expected
+
+
+class TestValiditiesContract:
+    def test_empty_pool(self, two_point_frame):
+        assert validities(two_point_frame, []) == ()
+
+    def test_mixed_languages_are_a_value_error(self, two_point_frame):
+        with pytest.raises(ValueError):
+            validities(two_point_frame, [letter("p", INT), letter("p", MODAL)])
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a block was evaluated")
+
+        monkeypatch.setattr(semantics, "_run", refuse)
+
+    def test_pool_letters_over_the_cap(self, two_point_frame, no_evaluation):
+        # Each formula reads one letter; the pool reads four.
+        pool = [parse(name) for name in ("p", "q", "r", "s")]
+        with pytest.raises(BoundExceeded, match="4 letters"):
+            validities(two_point_frame, pool)
+
+    def test_frame_over_the_point_cap(self, three_point_frame, no_evaluation):
+        with pytest.raises(BoundExceeded, match="3 points"):
+            validities(three_point_frame, [parse("p -> p")], point_cap=2)
+
+    def test_space_over_the_valuation_budget(self, no_evaluation):
+        # 64 subsets of 6 points, four letters: 2^24 valuations.
+        n = 6
+        frame = MS4Frame(tuple(f"x{i}" for i in range(n)), chain_poset(n), Relation.total(n))
+        pool = [letter(name, MODAL) for name in ("p", "q", "r", "s")]
+        assert 64**4 > VALUATION_BUDGET
+        with pytest.raises(BoundExceeded, match="budget"):
+            validities(frame, pool, letter_cap=4)
 
 
 # --- caches ---------------------------------------------------------------------

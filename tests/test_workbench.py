@@ -1,6 +1,7 @@
 """Tests for the experiment registry, report reproducibility, frame file I/O,
 and the command line."""
 
+import hashlib
 import io
 import json
 import os
@@ -142,6 +143,18 @@ def test_default_instance_counts(default_reports):
         "lifting": 1078,
         "companion-witness": 60,
     }
+
+
+# sha256 of `run_experiment("translation", 4).fingerprint()` as the
+# one-formula-at-a-time search produced it: 52,920 instances.
+TRANSLATION_BOUND_4_SHA256 = "73c76da60ac66114d6a64abd4629ebfef470e19ef7b08d8cbcfc59b0e5fb2799"
+
+
+def test_translation_bound_4_fingerprint_is_unchanged():
+    report = run_experiment("translation", 4)
+    assert report.instances == 52920
+    digest = hashlib.sha256(report.fingerprint().encode()).hexdigest()
+    assert digest == TRANSLATION_BOUND_4_SHA256
 
 
 def test_reports_are_byte_reproducible(default_reports):
