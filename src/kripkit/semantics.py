@@ -391,6 +391,23 @@ def _checked_layout(frame, letters, letter_cap: int, point_cap: int, subject: st
     return _layout(frame.kind, frame.r, len(letters))
 
 
+def _blocks(letters, periods, rows, total: int):
+    """The valuations 0 .. total-1 in search order, block by block: yields
+    (base, full, inputs), where bit v of the block is valuation base + v,
+    `full` has every bit of the block set and `inputs` holds each letter's
+    rows for `_run`.  Blocks grow from _FIRST_BLOCK to _MAX_BLOCK."""
+    base, width = 0, _FIRST_BLOCK
+    while base < total:
+        width = min(width, total - base)
+        full = (1 << width) - 1
+        yield base, full, {
+            name: [row >> base % period & full for row in letter_rows]
+            for name, period, letter_rows in zip(letters, periods, rows)
+        }
+        base += width
+        width = min(4 * width, _MAX_BLOCK)
+
+
 def countermodel(
     frame,
     phi: syntax.Formula,
@@ -411,14 +428,7 @@ def countermodel(
         frame, letters, letter_cap, point_cap, "formula"
     )
     relations = _relations(frame)
-    base, width = 0, _FIRST_BLOCK
-    while base < total:
-        width = min(width, total - base)
-        full = (1 << width) - 1
-        inputs = {
-            name: [row >> base % period & full for row in letter_rows]
-            for name, period, letter_rows in zip(letters, periods, rows)
-        }
+    for base, full, inputs in _blocks(letters, periods, rows, total):
         holds = _run(program, relations, frame.n, inputs, full)[-1]
         failing = 0
         for row in holds:
@@ -433,8 +443,6 @@ def countermodel(
                 for name, stride in zip(letters, strides)
             }
             return Countermodel(frame, Valuation.from_masks(frame, assign), point, phi)
-        base += width
-        width = min(4 * width, _MAX_BLOCK)
     return None
 
 
@@ -457,22 +465,16 @@ def validities(
     for phi in formulas:
         _check_pair(frame, phi)
     program, roots, letters = _pool_program(formulas)
-    _, total, _, periods, rows = _checked_layout(frame, letters, letter_cap, point_cap, "pool")
+    subject = "formula" if len(formulas) == 1 else "pool"
+    _, total, _, periods, rows = _checked_layout(frame, letters, letter_cap, point_cap, subject)
     relations = _relations(frame)
     n = frame.n
     holding = set(roots)
-    base, width = 0, _FIRST_BLOCK
-    while base < total and holding:
-        width = min(width, total - base)
-        full = (1 << width) - 1
-        inputs = {
-            name: [row >> base % period & full for row in letter_rows]
-            for name, period, letter_rows in zip(letters, periods, rows)
-        }
+    for _, full, inputs in _blocks(letters, periods, rows, total):
         values = _run(program, relations, n, inputs, full)
         holding = {root for root in holding if values[root].count(full) == n}
-        base += width
-        width = min(4 * width, _MAX_BLOCK)
+        if not holding:
+            break
     return tuple([root in holding for root in roots])
 
 

@@ -12,7 +12,6 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable
 
 from . import semantics, syntax
@@ -211,18 +210,11 @@ def _run_e_eqe(bound: int) -> tuple[int, list[str]]:
     return instances, failures
 
 
-@cache
-def _translation_pools() -> tuple[tuple[syntax.Formula, ...], tuple[syntax.Formula, ...]]:
-    """The translation pool and its `godel_translate` images, built once:
-    every run then passes `semantics.validities` the same tuples, which its
-    pool cache finds by identity instead of comparing 210 formulas
-    structurally."""
-    pool = tuple(translation_formulas())
-    return pool, tuple(syntax.godel_translate(phi) for phi in pool)
-
-
 def _run_translation(bound: int) -> tuple[int, list[str]]:
-    pool, images = _translation_pools()
+    # Built once: every frame passes `semantics.validities` the same tuples,
+    # which its pool cache finds by identity.
+    pool = tuple(translation_formulas())
+    images = tuple(syntax.godel_translate(phi) for phi in pool)
     instances = 0
     failures = []
     for frame in _enumerate("ms4", bound):

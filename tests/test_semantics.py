@@ -490,8 +490,12 @@ class TestValiditiesContract:
     def test_pool_letters_over_the_cap(self, two_point_frame, no_evaluation):
         # Each formula reads one letter; the pool reads four.
         pool = [parse(name) for name in ("p", "q", "r", "s")]
-        with pytest.raises(BoundExceeded, match="4 letters"):
+        with pytest.raises(BoundExceeded, match="pool has 4 letters"):
             validities(two_point_frame, pool)
+
+    def test_one_formula_over_the_cap_is_named_a_formula(self, two_point_frame, no_evaluation):
+        with pytest.raises(BoundExceeded, match="formula has 4 letters"):
+            frame_validates(two_point_frame, parse("p & q & r & s"))
 
     def test_frame_over_the_point_cap(self, three_point_frame, no_evaluation):
         with pytest.raises(BoundExceeded, match="3 points"):
