@@ -118,19 +118,16 @@ class Relation:
         return all(o & ~s == 0 for s, o in zip(self.rows, other.rows))
 
     def is_reflexive(self) -> bool:
-        return all(row >> i & 1 for i, row in enumerate(self.rows))
+        return _reflexive_witness(self) is None
 
     def is_symmetric(self) -> bool:
-        return self == self.converse()
+        return _symmetric_witness(self) is None
 
     def is_antisymmetric(self) -> bool:
-        return all(
-            not (self.has(i, j) and self.has(j, i))
-            for i, j in combinations(range(self.n), 2)
-        )
+        return _antisymmetric_witness(self) is None
 
     def is_transitive(self) -> bool:
-        return all(self.image(row) & ~row == 0 for row in self.rows)
+        return _transitive_witness(self) is None
 
     def is_quasi_order(self) -> bool:
         return self.is_reflexive() and self.is_transitive()

@@ -21,18 +21,19 @@ failing point are reported, which is the first countermodel above.
 Validity needs a yes or no, not a first countermodel, so `validities`
 decides a whole pool of formulas in one pass.  A formula reads only its own
 letters, so it is valid iff it holds under every valuation of any larger set
-of letters; the pool's programs are merged into one, with shared slots and
+of letters; the pool is compiled into one program, with shared slots and
 one root per formula, and run over the valuations of the pool's letters
 until every root is refuted or the space is exhausted.  `frame_validates`
 is its one-formula case; `countermodel` still reports the first
 countermodel of one formula.
 
 Nothing is rebuilt per call.  The program names its relations "r" and "s"
-rather than holding them, so it is cached per formula (`_program`, keyed by
-the formula's structural hash) and per pool (`_pool_program`); the frame
-side is cached apart: successor lists per relation (`_successors`) and the
-valuation numbering with its letter rows per (kind, order, letter count)
-(`_layout`).  Every cache is bounded.
+rather than holding them, so one compiler, `_compile`, serves every caller
+and caches its program per pool, keyed by the tuple of formulas (a single
+formula is the pool of one); the frame side is cached apart: successor
+lists per relation (`_successors`) and the valuation numbering with its
+letter rows per (kind, order, letter count) (`_layout`).  Every cache is
+bounded.
 """
 
 from __future__ import annotations
@@ -86,6 +87,14 @@ class Valuation:
 
     frame: Frame
     masks: tuple[tuple[str, int], ...]
+
+    def __post_init__(self) -> None:
+        # A negative mask has every high bit set, so the shift catches it too.
+        for name, mask in self.masks:
+            if mask >> self.frame.n:
+                raise ValueError(
+                    f"letter {name!r} gets points outside the {self.frame.n}-point frame"
+                )
 
     @classmethod
     def from_masks(cls, frame, assignment: dict[str, int]) -> "Valuation":
@@ -143,19 +152,22 @@ _OPS = {
 
 
 @lru_cache(maxsize=512)
-def _program(phi: syntax.Formula) -> tuple[tuple[tuple, ...], tuple[str, ...]]:
-    """Postorder program of `phi`, and the sorted letters it reads.
+def _compile(
+    formulas: tuple[syntax.Formula, ...],
+) -> tuple[tuple[tuple, ...], tuple[int, ...], tuple[str, ...]]:
+    """One postorder program for a pool: (program, each formula's root slot,
+    the sorted letters of the pool).
 
     Instruction i computes slot i as (op, a, b): ("letter", name, None),
     ("top"|"bottom", None, None), ("and"|"or"|"imp", slot, slot), or
     ("all"|"some", slot, "r"|"s"), naming the frame relation to quantify
-    over.  `~ A` compiles as `A -> F`.  The walk is iterative and visits each
-    node object once; structurally equal subtrees share one slot, keyed by
-    the instruction.  The program does not depend on the frame, so it is
-    cached per formula; the cache is bounded because it keeps its formulas
-    alive.
+    over.  `~ A` compiles as `A -> F`.  The walk is iterative, finishes
+    each formula before the next, and visits each node object once;
+    structurally equal subtrees, within a formula or across the pool, share
+    one slot, keyed by the instruction.  The program does not depend on the
+    frame, so it is cached per pool; the cache is bounded because it keeps
+    its formulas alive.
     """
-    ops = _OPS[phi.lang]
     program: list[tuple] = []
     slots: dict[tuple, int] = {}
     done: dict[int, int] = {}  # id(node) -> slot
@@ -168,7 +180,7 @@ def _program(phi: syntax.Formula) -> tuple[tuple[tuple, ...], tuple[str, ...]]:
             program.append(instruction)
         return slot
 
-    stack = [phi]
+    stack = list(reversed(formulas))
     while stack:
         node = stack[-1]
         if id(node) in done:
@@ -190,6 +202,7 @@ def _program(phi: syntax.Formula) -> tuple[tuple[tuple, ...], tuple[str, ...]]:
             if kind == "not":
                 kind = "implies"
                 args.append(emit("bottom", None, None))
+            ops = _OPS[node.lang]
             if kind not in ops:
                 raise ValueError(f"cannot evaluate formula kind {kind!r} on this frame")
             op, rel = ops[kind]
@@ -200,41 +213,8 @@ def _program(phi: syntax.Formula) -> tuple[tuple[tuple, ...], tuple[str, ...]]:
                 if rel is not None:
                     slot = emit("all", slot, rel)
         done[id(node)] = slot
-    return tuple(program), tuple(sorted(letters))
-
-
-@lru_cache(maxsize=512)
-def _pool_program(
-    formulas: tuple[syntax.Formula, ...],
-) -> tuple[tuple[tuple, ...], tuple[int, ...], tuple[str, ...]]:
-    """One program for a pool: (program, each formula's root slot, the sorted
-    letters of the pool).
-
-    Each formula's `_program` is renumbered into the merged one by
-    instruction key, so equal subformulas, and equal formulas, share slots.
-    For one formula the merged program is its own program.
-    """
-    program: list[tuple] = []
-    slots: dict[tuple, int] = {}
-    roots = []
-    letters = set()
-    for phi in formulas:
-        own, own_letters = _program(phi)
-        letters.update(own_letters)
-        local: list[int] = []
-        for op, a, b in own:
-            if op in ("and", "or", "imp"):
-                a, b = local[a], local[b]
-            elif op in ("all", "some"):
-                a = local[a]
-            instruction = (op, a, b)
-            slot = slots.get(instruction)
-            if slot is None:
-                slot = slots[instruction] = len(program)
-                program.append(instruction)
-            local.append(slot)
-        roots.append(local[-1])
-    return tuple(program), tuple(roots), tuple(sorted(letters))
+    roots = tuple(done[id(phi)] for phi in formulas)
+    return tuple(program), roots, tuple(sorted(letters))
 
 
 @lru_cache(maxsize=4096)
@@ -300,13 +280,13 @@ def truth_set(frame, valuation: Valuation, phi: syntax.Formula) -> int:
         raise ValueError("valuation belongs to a different frame")
     if not valuation.is_admissible():
         raise ValueError("valuation assigns a set that is not an r-upset")
-    program, letters = _program(phi)
+    program, (root,), letters = _compile((phi,))
     assign = dict(valuation.masks)
     for name in letters:
         if name not in assign:
             raise ValueError(f"valuation does not cover letter {name!r}")
     inputs = {name: [mask >> x & 1 for x in range(frame.n)] for name, mask in assign.items()}
-    holds = _run(program, _relations(frame), frame.n, inputs, 1)[-1]
+    holds = _run(program, _relations(frame), frame.n, inputs, 1)[root]
     return mask_of(x for x, bit in enumerate(holds) if bit)
 
 
@@ -423,13 +403,13 @@ def countermodel(
     BoundExceeded before it starts.
     """
     _check_pair(frame, phi)
-    program, letters = _program(phi)
+    program, (root,), letters = _compile((phi,))
     space, total, strides, periods, rows = _checked_layout(
         frame, letters, letter_cap, point_cap, "formula"
     )
     relations = _relations(frame)
     for base, full, inputs in _blocks(letters, periods, rows, total):
-        holds = _run(program, relations, frame.n, inputs, full)[-1]
+        holds = _run(program, relations, frame.n, inputs, full)[root]
         failing = 0
         for row in holds:
             failing |= full ^ row
@@ -455,16 +435,16 @@ def validities(
 ) -> tuple[bool, ...]:
     """For each formula of the pool, whether `frame` validates it.
 
-    One merged program runs over the valuations of the pool's letters, so
-    the letter cap and VALUATION_BUDGET apply to the pool, not to each
-    formula; everything is checked, and BoundExceeded or ValueError raised,
-    before any valuation is evaluated.  The search stops once every formula
-    is refuted.
+    One program runs over the valuations of the pool's letters, so the
+    letter cap and VALUATION_BUDGET apply to the pool, not to each formula;
+    everything is checked, and BoundExceeded or ValueError raised, before
+    any valuation is evaluated.  The search stops once every formula is
+    refuted.
     """
     formulas = tuple(formulas)
     for phi in formulas:
         _check_pair(frame, phi)
-    program, roots, letters = _pool_program(formulas)
+    program, roots, letters = _compile(formulas)
     subject = "formula" if len(formulas) == 1 else "pool"
     _, total, _, periods, rows = _checked_layout(frame, letters, letter_cap, point_cap, subject)
     relations = _relations(frame)

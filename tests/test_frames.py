@@ -159,6 +159,39 @@ class TestRelation:
         assert cluster.is_equivalence()
         assert not Relation.from_pairs(2, [(0, 1)]).is_reflexive()
         assert not Relation.from_pairs(3, [(0, 1), (1, 2)]).is_transitive()
+        # Each predicate is its witness search coming up empty; both agree
+        # with the definition read pair by pair, on every small relation.
+        for n in range(4):
+            points = range(n)
+            for code in range(1 << n * n):
+                rel = Relation(n, tuple(code >> n * i & (1 << n) - 1 for i in points))
+                has = rel.has
+                checks = [
+                    (rel.is_reflexive, frames._reflexive_witness, all(has(i, i) for i in points)),
+                    (
+                        rel.is_symmetric,
+                        frames._symmetric_witness,
+                        all(has(j, i) for i in points for j in points if has(i, j)),
+                    ),
+                    (
+                        rel.is_antisymmetric,
+                        frames._antisymmetric_witness,
+                        not any(has(i, j) and has(j, i) for i in points for j in points if i != j),
+                    ),
+                    (
+                        rel.is_transitive,
+                        frames._transitive_witness,
+                        all(
+                            has(i, k)
+                            for i in points
+                            for j in points
+                            for k in points
+                            if has(i, j) and has(j, k)
+                        ),
+                    ),
+                ]
+                for predicate, witness, expected in checks:
+                    assert predicate() == (witness(rel) is None) == expected
 
     @given(relations())
     def test_closure_matches_reachability(self, rel):

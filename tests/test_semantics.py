@@ -101,6 +101,16 @@ class TestValuation:
         v = Valuation.from_points(two_point_frame, {"q": [1], "p": [1]})
         assert [name for name, _ in v.masks] == ["p", "q"]
 
+    @pytest.mark.parametrize("mask", [0b100, 0b111, -1, -0b10])
+    def test_rejects_points_outside_the_frame(self, two_point_frame, cluster_frame, mask):
+        # Refused when built: evaluated, such a mask would index past the
+        # int frame's rows, and lose its extra bits on the ms4 frame.
+        for frame in (two_point_frame, cluster_frame):
+            with pytest.raises(ValueError, match="outside the 2-point frame"):
+                Valuation.from_masks(frame, {"p": 0b01, "q": mask})
+        with pytest.raises(ValueError, match="outside"):
+            Valuation.from_points(two_point_frame, {"p": [1, 2]})
+
 
 class TestIntTruth:
     def test_connectives(self, two_point_frame):
@@ -444,29 +454,30 @@ def test_validities_match_countermodel_on_the_translation_pools():
 
 
 POOL_LETTERS = ((), ("p",), ("q",), ("p", "q"))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    frame=st.sampled_from(SMALL_FRAMES),
-    drawn=st.lists(
-        st.tuples(st.sampled_from(POOL_LETTERS), st.integers(0, 4), st.integers(0, 2**32)),
-        min_size=1,
-        max_size=6,
-    ),
-    picks=st.lists(st.integers(0, 63), max_size=12),
+DRAWN = st.lists(
+    st.tuples(st.sampled_from(POOL_LETTERS), st.integers(0, 4), st.integers(0, 2**32)),
+    min_size=1,
+    max_size=6,
 )
-def test_validities_match_countermodel_on_drawn_pools(frame, drawn, picks):
+PICKS = st.lists(st.integers(0, 63), max_size=12)
+
+
+def drawn_pool(lang, drawn, picks) -> tuple:
     # Candidates: the constants, letter-free, one- and two-letter formulas,
     # each drawn formula twice as equal but distinct objects.  A pick of the
     # same candidate twice repeats one object.
-    lang = INT if isinstance(frame, IntFrame) else MODAL
     candidates = [top(lang), bottom(lang)] + [
         random_formula(random.Random(seed), letters, depth, lang)
         for _ in range(2)
         for letters, depth, seed in drawn
     ]
-    pool = [candidates[i % len(candidates)] for i in picks]
+    return tuple(candidates[i % len(candidates)] for i in picks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame=st.sampled_from(SMALL_FRAMES), drawn=DRAWN, picks=PICKS)
+def test_validities_match_countermodel_on_drawn_pools(frame, drawn, picks):
+    pool = drawn_pool(INT if isinstance(frame, IntFrame) else MODAL, drawn, picks)
     expected = _one_by_one(frame, pool)
     assert validities(frame, pool) == expected
     assert tuple(frame_validates(frame, phi) for phi in pool) == expected
@@ -515,7 +526,7 @@ class TestValiditiesContract:
 
 
 def _clear_caches():
-    for cached in (semantics._program, semantics._successors, semantics._layout):
+    for cached in (semantics._compile, semantics._successors, semantics._layout):
         cached.cache_clear()
 
 
@@ -525,22 +536,60 @@ def test_equal_formulas_share_one_program(two_point_frame):
     first, second = parse(text), parse(text)
     assert first is not second
     assert countermodel(two_point_frame, first) == countermodel(two_point_frame, second)
-    info = semantics._program.cache_info()
+    info = semantics._compile.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
 def test_languages_never_share_a_program(two_point_frame, ms4_chain):
     _clear_caches()
     int_p, modal_p = letter("p", INT), letter("p", MODAL)
-    semantics._program(int_p)
-    semantics._program(modal_p)
-    assert semantics._program.cache_info().misses == 2
+    semantics._compile((int_p,))
+    semantics._compile((modal_p,))
+    assert semantics._compile.cache_info().misses == 2
     # Excluded middle fails on the int 2-chain and holds classically.
     assert countermodel(two_point_frame, disj(int_p, neg(int_p))) is not None
     assert countermodel(ms4_chain, disj(modal_p, neg(modal_p))) is None
-    assert semantics._program(implies(int_p, int_p)) != semantics._program(
-        implies(modal_p, modal_p)
+    assert semantics._compile((implies(int_p, int_p),)) != semantics._compile(
+        (implies(modal_p, modal_p),)
     )
+
+
+def merged_programs(formulas):
+    """The pool's program built the slow way: each formula compiled alone,
+    then renumbered into one program by instruction key."""
+    program: list[tuple] = []
+    slots: dict[tuple, int] = {}
+    roots = []
+    letters = set()
+    for phi in formulas:
+        own, (own_root,), own_letters = semantics._compile((phi,))
+        letters.update(own_letters)
+        local: list[int] = []
+        for op, a, b in own:
+            if op in ("and", "or", "imp"):
+                a, b = local[a], local[b]
+            elif op in ("all", "some"):
+                a = local[a]
+            instruction = (op, a, b)
+            slot = slots.get(instruction)
+            if slot is None:
+                slot = slots[instruction] = len(program)
+                program.append(instruction)
+            local.append(slot)
+        roots.append(local[own_root])
+    return tuple(program), tuple(roots), tuple(sorted(letters))
+
+
+def test_compile_matches_the_merge_on_the_translation_pools():
+    for pool in TRANSLATION_POOLS.values():
+        assert semantics._compile(tuple(pool)) == merged_programs(pool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lang=st.sampled_from((INT, MODAL)), drawn=DRAWN, picks=PICKS)
+def test_compile_matches_the_merge_on_drawn_pools(lang, drawn, picks):
+    pool = drawn_pool(lang, drawn, picks)
+    assert semantics._compile(pool) == merged_programs(pool)
 
 
 CACHE_POOL = {
@@ -581,7 +630,7 @@ def test_caches_agree_with_oracle_cold_and_warm():
         _clear_caches()
         for frame in order:
             check(frame)
-        assert semantics._program.cache_info().hits > 0
+        assert semantics._compile.cache_info().hits > 0
         for frame in order:
             check(frame)
 
