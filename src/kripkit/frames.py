@@ -108,14 +108,8 @@ class Relation:
         """x (self;other) z iff x self y and y other z for some y."""
         return Relation(self.n, tuple(other.image(row) for row in self.rows))
 
-    def union(self, other: "Relation") -> "Relation":
-        return Relation(self.n, tuple(a | b for a, b in zip(self.rows, other.rows)))
-
     def meet(self, other: "Relation") -> "Relation":
         return Relation(self.n, tuple(a & b for a, b in zip(self.rows, other.rows)))
-
-    def contains(self, other: "Relation") -> bool:
-        return all(o & ~s == 0 for s, o in zip(self.rows, other.rows))
 
     def is_reflexive(self) -> bool:
         return _reflexive_witness(self) is None
@@ -131,26 +125,6 @@ class Relation:
 
     def is_quasi_order(self) -> bool:
         return self.is_reflexive() and self.is_transitive()
-
-    def is_partial_order(self) -> bool:
-        return self.is_quasi_order() and self.is_antisymmetric()
-
-    def is_equivalence(self) -> bool:
-        return self.is_quasi_order() and self.is_symmetric()
-
-    def reflexive_transitive_closure(self) -> "Relation":
-        rows = [row | 1 << i for i, row in enumerate(self.rows)]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(self.n):
-                grown = rows[i]
-                for j in bits(rows[i]):
-                    grown |= rows[j]
-                if grown != rows[i]:
-                    rows[i] = grown
-                    changed = True
-        return Relation(self.n, tuple(rows))
 
 
 def er(rel: Relation) -> Relation:

@@ -100,10 +100,6 @@ class Valuation:
     def from_masks(cls, frame, assignment: dict[str, int]) -> "Valuation":
         return cls(frame, tuple(sorted(assignment.items())))
 
-    @classmethod
-    def from_points(cls, frame, assignment: dict[str, list[int]]) -> "Valuation":
-        return cls.from_masks(frame, {k: mask_of(v) for k, v in assignment.items()})
-
     def mask(self, name: str) -> int:
         for letter, mask in self.masks:
             if letter == name:

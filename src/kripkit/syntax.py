@@ -62,10 +62,14 @@ class Formula:
     language-specific connectives (`exists` for "int", `box` for "modal")
     are rejected outside their language.
 
-    Each node computes its structural hash once, at construction, from its
-    children's cached hashes, so `hash` takes constant time and formulas can
-    key caches.  Equality is structural; it and the tree walks below use an
-    explicit stack, so arbitrarily deep formulas built in Python are safe.
+    Each node computes its structural hash, its connective depth and its
+    size once, at construction, from its children's cached values, so `hash`
+    and `depth` take constant time and formulas can key caches.  The size
+    counts nodes as a tree: a subtree that `<->` shares counts once per
+    occurrence.  Construction sets no limit; `parse` enforces MAX_NESTING
+    and MAX_SIZE from these fields.  Equality is structural; it and the tree
+    walks below use an explicit stack, so arbitrarily deep formulas built in
+    Python are safe.
     """
 
     lang: str
@@ -73,6 +77,8 @@ class Formula:
     name: str = ""
     args: tuple["Formula", ...] = ()
     _hash: int = field(init=False, repr=False, compare=False)
+    _depth: int = field(init=False, repr=False, compare=False)
+    _size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lang not in (INT, MODAL):
@@ -91,10 +97,16 @@ class Formula:
             raise ValueError("'exists' belongs to the intuitionistic language")
         if self.kind == "box" and self.lang != MODAL:
             raise ValueError("'box' belongs to the modal language")
+        depth, size = 0, 1
         for arg in self.args:
             if arg.lang != self.lang:
                 raise ValueError("mixed-language formula")
+            if arg._depth >= depth:
+                depth = arg._depth + 1
+            size += arg._size
         object.__setattr__(self, "_hash", hash((self.lang, self.kind, self.name, self.args)))
+        object.__setattr__(self, "_depth", depth)
+        object.__setattr__(self, "_size", size)
 
     def __hash__(self) -> int:
         return self._hash
@@ -124,29 +136,9 @@ class Formula:
             yield node
             stack.extend(reversed(node.args))
 
-    def _height(self, counts) -> int:
-        # Most nodes satisfying `counts` on one root-to-leaf path, computed
-        # once per node object (`<->` shares subtrees).
-        height: dict[int, int] = {}
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            pending = [arg for arg in node.args if id(arg) not in height]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            below = max((height[id(arg)] for arg in node.args), default=0)
-            height[id(node)] = below + counts(node)
-        return height[id(self)]
-
     def depth(self) -> int:
         """Connective nesting depth; atoms have depth 0."""
-        return self._height(lambda node: bool(node.args))
-
-    def modal_depth(self) -> int:
-        """Nesting depth counting only forall/exists/box."""
-        return self._height(lambda node: node.kind in _KEYWORDS)
+        return self._depth
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -196,7 +188,7 @@ def implies(lhs: Formula, rhs: Formula) -> Formula:
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<iff><->)|(?P<arrow>->)|(?P<sym>[()&|~])"
-    r"|(?P<const>[TF])|(?P<name>[a-z][a-z0-9_]*)"
+    r"|(?P<const>[TF])|(?P<name>[a-z][a-z0-9_]*)|(?P<bad>.)"
 )
 
 
@@ -204,34 +196,31 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Return (kind, text, position) triples; kind is the literal token for
     punctuation and constants, "name" for letters, or the keyword itself."""
     tokens: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        start, i = m.start(), m.end()
+    # Every character starts a match (`\n` is whitespace, anything else not
+    # a token is `bad`), so the matches tile the text.
+    for m in _TOKEN_RE.finditer(text):
         group = m.lastgroup
         if group == "ws":
             continue
         word = m.group()
-        if group == "name":
-            kind = word if word in _KEYWORDS else "name"
-        else:
-            kind = word
-        tokens.append((kind, word, start))
+        if group == "bad":
+            raise ParseError(f"unexpected character {word!r}", m.start())
+        kind = "name" if group == "name" and word not in _KEYWORDS else word
+        tokens.append((kind, word, m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
-# Deepest nesting `parse` accepts: of connectives in the result, and of
-# prefixes and parentheses in the text.  Deeper input raises ParseError
-# rather than exhausting the interpreter stack, here or in the recursive
-# passes that follow (desugaring, printing, translation, evaluation).
+# Deepest nesting `parse` accepts: of connectives in the result (the depth
+# each node stores), and of prefixes and parentheses in the text.  Deeper
+# input raises ParseError rather than exhausting the interpreter stack, here
+# or in the recursive passes that follow (desugaring, printing, translation,
+# evaluation).  Formulas built in Python have no such cap.
 MAX_NESTING = 100
-# Most nodes the result of `parse` may have, counted as a tree.  `A <-> B`
-# shares A and B between its two implications, so every link of a `<->`
-# chain doubles the tree that the recursive passes walk; larger results
-# raise ParseError instead of hanging them.
+# Most nodes the result of `parse` may have, counted as a tree (the size
+# each node stores).  `A <-> B` shares A and B between its two implications,
+# so every link of a `<->` chain doubles the tree that the recursive passes
+# walk; larger results raise ParseError instead of hanging them.
 MAX_SIZE = 10_000
 
 _PREFIX = {"~": neg, "forall": forall, "exists": exists, "box": box}
@@ -243,10 +232,6 @@ class _Parser:
         self.lang = lang
         self.pos = 0
         self.open = 0  # prefixes and parentheses enclosing the current token
-        # Connective depth and tree size of every node built so far, by
-        # identity: `<->` shares subtrees, so walking the result could take
-        # exponential time.
-        self.shapes: dict[int, tuple[int, int]] = {}
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -265,15 +250,11 @@ class _Parser:
             raise self.too_deep(position)
 
     def node(self, make, position: int, *args: Formula) -> Formula:
-        shapes = [self.shapes.get(id(arg), (0, 1)) for arg in args]
-        depth = 1 + max(depth for depth, _ in shapes)
-        if depth > MAX_NESTING:
-            raise self.too_deep(position)
-        size = 1 + sum(size for _, size in shapes)
-        if size > MAX_SIZE:
-            raise ParseError(f"formula expands to more than {MAX_SIZE} nodes", position)
         out = make(*args)
-        self.shapes[id(out)] = (depth, size)
+        if out._depth > MAX_NESTING:
+            raise self.too_deep(position)
+        if out._size > MAX_SIZE:
+            raise ParseError(f"formula expands to more than {MAX_SIZE} nodes", position)
         return out
 
     def formula(self) -> Formula:
@@ -559,6 +540,8 @@ def random_formula(
 ) -> Formula:
     """Random formula over `letters_pool` with depth() <= max_depth.  An
     empty pool gives formulas built from the constants alone."""
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     quantifier = exists if lang == INT else box
     atom_kinds = ("letter", "letter", "top", "bottom") if letters_pool else ("top", "bottom")
     inner_kinds = atom_kinds + ("not", "forall", "quant", "and", "or", "implies")

@@ -30,6 +30,40 @@ from kripkit.frames import (
 )
 
 
+# Relation operations only the tests need.
+
+
+def union(a: Relation, b: Relation) -> Relation:
+    return Relation(a.n, tuple(x | y for x, y in zip(a.rows, b.rows)))
+
+
+def contains(big: Relation, small: Relation) -> bool:
+    return all(s & ~b == 0 for b, s in zip(big.rows, small.rows))
+
+
+def is_partial_order(rel: Relation) -> bool:
+    return rel.is_quasi_order() and rel.is_antisymmetric()
+
+
+def is_equivalence(rel: Relation) -> bool:
+    return rel.is_quasi_order() and rel.is_symmetric()
+
+
+def reflexive_transitive_closure(rel: Relation) -> Relation:
+    rows = [row | 1 << i for i, row in enumerate(rel.rows)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(rel.n):
+            grown = rows[i]
+            for j in bits(rows[i]):
+                grown |= rows[j]
+            if grown != rows[i]:
+                rows[i] = grown
+                changed = True
+    return Relation(rel.n, tuple(rows))
+
+
 @st.composite
 def relations(draw, max_n: int = 5):
     n = draw(st.integers(1, max_n))
@@ -39,7 +73,7 @@ def relations(draw, max_n: int = 5):
 
 @st.composite
 def small_quasi_orders(draw, max_n: int = 5):
-    return draw(relations(max_n)).reflexive_transitive_closure()
+    return reflexive_transitive_closure(draw(relations(max_n)))
 
 
 JSON_VALUES = st.recursive(
@@ -145,18 +179,18 @@ class TestRelation:
     def test_lattice_operations(self):
         a = Relation.from_pairs(2, [(0, 1)])
         b = Relation.from_pairs(2, [(1, 0)])
-        assert a.union(b).pairs() == [(0, 1), (1, 0)]
+        assert union(a, b).pairs() == [(0, 1), (1, 0)]
         assert a.meet(b).pairs() == []
-        assert a.union(b).contains(a)
-        assert not a.contains(b)
+        assert contains(union(a, b), a)
+        assert not contains(a, b)
 
     def test_property_checks(self):
         chain = Relation.from_pairs(2, [(0, 0), (1, 1), (0, 1)])
-        assert chain.is_partial_order()
+        assert is_partial_order(chain)
         assert not chain.is_symmetric()
         cluster = Relation.total(2)
         assert cluster.is_quasi_order() and not cluster.is_antisymmetric()
-        assert cluster.is_equivalence()
+        assert is_equivalence(cluster)
         assert not Relation.from_pairs(2, [(0, 1)]).is_reflexive()
         assert not Relation.from_pairs(3, [(0, 1), (1, 2)]).is_transitive()
         # Each predicate is its witness search coming up empty; both agree
@@ -195,23 +229,23 @@ class TestRelation:
 
     @given(relations())
     def test_closure_matches_reachability(self, rel):
-        closed = rel.reflexive_transitive_closure()
+        closed = reflexive_transitive_closure(rel)
         assert closed.is_quasi_order()
-        assert closed.contains(rel)
+        assert contains(closed, rel)
         for x in range(rel.n):
             assert set(bits(closed.rows[x])) == reachable_oracle(rel, x)
 
     @given(small_quasi_orders())
     def test_closure_fixes_quasi_orders(self, rel):
-        assert rel.reflexive_transitive_closure() == rel
+        assert reflexive_transitive_closure(rel) == rel
 
 
 class TestDerivedRelations:
     @given(small_quasi_orders())
     def test_er_is_equivalence(self, rel):
         clusters = er(rel)
-        assert clusters.is_equivalence()
-        assert rel.contains(clusters)
+        assert is_equivalence(clusters)
+        assert contains(rel, clusters)
 
     def test_er_of_partial_order_is_identity(self):
         chain = Relation.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)])
@@ -236,7 +270,7 @@ class TestDerivedRelations:
     def test_e_below_qe_for_reflexive_r(self, r, seed):
         partitions = [e for e in _equivalences_cache(r.n)]
         e = partitions[seed % len(partitions)]
-        assert qe(r, e).contains(e)
+        assert contains(qe(r, e), e)
 
 
 def _equivalences_cache(n: int):
@@ -301,7 +335,7 @@ class TestFrameConstruction:
 
     def test_e_q(self, three_point_frame, two_point_frame):
         eq = three_point_frame.e_q()
-        assert eq.is_equivalence()
+        assert is_equivalence(eq)
         assert set(bits(eq.rows[0])) == {0, 1}
         assert set(bits(eq.rows[2])) == {2}
         assert two_point_frame.e_q() == Relation.total(2)

@@ -85,9 +85,7 @@ def int_morphism_oracle(f: FrameMap) -> bool:
 
 
 def chain_frame(n: int) -> IntFrame:
-    r = Relation.from_pairs(
-        n, [(i, i + 1) for i in range(n - 1)]
-    ).reflexive_transitive_closure()
+    r = Relation.from_pairs(n, [(i, j) for i in range(n) for j in range(i, n)])
     return IntFrame(tuple(f"x{i}" for i in range(n)), r, r)
 
 

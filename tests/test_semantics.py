@@ -47,6 +47,10 @@ from kripkit.syntax import (
 from kripkit.workbench import translation_formulas
 
 
+def from_points(frame, assignment: dict[str, list[int]]) -> Valuation:
+    return Valuation.from_masks(frame, {k: mask_of(v) for k, v in assignment.items()})
+
+
 def satisfies(frame, valuation: Valuation, point: int, phi) -> bool:
     return bool(truth_set(frame, valuation, phi) >> point & 1)
 
@@ -81,24 +85,24 @@ class TestSubsetOrders:
 
 class TestValuation:
     def test_from_points_round_trip(self, two_point_frame):
-        v = Valuation.from_points(two_point_frame, {"p": [1], "q": [0, 1]})
+        v = from_points(two_point_frame, {"p": [1], "q": [0, 1]})
         assert v.mask("p") == 0b10
         assert v.mask("q") == 0b11
         assert v.to_json_dict() == {"p": [1], "q": [0, 1]}
 
     def test_mask_unassigned(self, two_point_frame):
-        v = Valuation.from_points(two_point_frame, {})
+        v = from_points(two_point_frame, {})
         with pytest.raises(KeyError):
             v.mask("p")
 
     def test_admissibility(self, two_point_frame, cluster_frame):
-        assert Valuation.from_points(two_point_frame, {"p": [1]}).is_admissible()
-        assert not Valuation.from_points(two_point_frame, {"p": [0]}).is_admissible()
+        assert from_points(two_point_frame, {"p": [1]}).is_admissible()
+        assert not from_points(two_point_frame, {"p": [0]}).is_admissible()
         # Modal frames take arbitrary subsets.
-        assert Valuation.from_points(cluster_frame, {"p": [0]}).is_admissible()
+        assert from_points(cluster_frame, {"p": [0]}).is_admissible()
 
     def test_masks_sorted_by_letter(self, two_point_frame):
-        v = Valuation.from_points(two_point_frame, {"q": [1], "p": [1]})
+        v = from_points(two_point_frame, {"q": [1], "p": [1]})
         assert [name for name, _ in v.masks] == ["p", "q"]
 
     @pytest.mark.parametrize("mask", [0b100, 0b111, -1, -0b10])
@@ -109,12 +113,12 @@ class TestValuation:
             with pytest.raises(ValueError, match="outside the 2-point frame"):
                 Valuation.from_masks(frame, {"p": 0b01, "q": mask})
         with pytest.raises(ValueError, match="outside"):
-            Valuation.from_points(two_point_frame, {"p": [1, 2]})
+            from_points(two_point_frame, {"p": [1, 2]})
 
 
 class TestIntTruth:
     def test_connectives(self, two_point_frame):
-        v = Valuation.from_points(two_point_frame, {"p": [1]})
+        v = from_points(two_point_frame, {"p": [1]})
         assert truth_set(two_point_frame, v, parse("p")) == 0b10
         assert truth_set(two_point_frame, v, parse("~ p")) == 0b00
         assert truth_set(two_point_frame, v, parse("~ ~ p")) == 0b11
@@ -124,36 +128,36 @@ class TestIntTruth:
 
     def test_quantifiers(self, two_point_frame):
         # q is total on the 2-chain, so forall p needs p everywhere.
-        v = Valuation.from_points(two_point_frame, {"p": [1]})
+        v = from_points(two_point_frame, {"p": [1]})
         assert truth_set(two_point_frame, v, parse("forall p")) == 0b00
         assert truth_set(two_point_frame, v, parse("exists p")) == 0b11
-        everywhere = Valuation.from_points(two_point_frame, {"p": [0, 1]})
+        everywhere = from_points(two_point_frame, {"p": [0, 1]})
         assert truth_set(two_point_frame, everywhere, parse("forall p")) == 0b11
 
     def test_fence_quantifiers(self, three_point_frame):
-        v = Valuation.from_points(three_point_frame, {"p": [1]})
+        v = from_points(three_point_frame, {"p": [1]})
         # Every q-row meets the cluster of a, so nothing q-sees only {b}.
         assert truth_set(three_point_frame, v, parse("forall p")) == 0b000
         # b is q-below a and itself; c only q-reaches a and b.
         assert truth_set(three_point_frame, v, parse("exists p")) == 0b011
 
     def test_satisfies(self, two_point_frame):
-        v = Valuation.from_points(two_point_frame, {"p": [1]})
+        v = from_points(two_point_frame, {"p": [1]})
         assert satisfies(two_point_frame, v, 1, parse("p"))
         assert not satisfies(two_point_frame, v, 0, parse("p"))
 
     def test_rejects_modal_formula(self, two_point_frame):
-        v = Valuation.from_points(two_point_frame, {"p": [1]})
+        v = from_points(two_point_frame, {"p": [1]})
         with pytest.raises(ValueError):
             truth_set(two_point_frame, v, parse("box p", MODAL))
 
     def test_rejects_inadmissible_valuation(self, two_point_frame):
-        v = Valuation.from_points(two_point_frame, {"p": [0]})
+        v = from_points(two_point_frame, {"p": [0]})
         with pytest.raises(ValueError):
             truth_set(two_point_frame, v, parse("p"))
 
     def test_rejects_uncovered_letter(self, two_point_frame):
-        v = Valuation.from_points(two_point_frame, {})
+        v = from_points(two_point_frame, {})
         with pytest.raises(ValueError):
             truth_set(two_point_frame, v, parse("p"))
 
@@ -171,29 +175,29 @@ class TestIntTruth:
 
 class TestMS4Truth:
     def test_classical_connectives(self, cluster_frame):
-        v = Valuation.from_points(cluster_frame, {"p": [0], "q": [1]})
+        v = from_points(cluster_frame, {"p": [0], "q": [1]})
         assert truth_set(cluster_frame, v, parse("~ p", MODAL)) == 0b10
         assert truth_set(cluster_frame, v, parse("p | ~ p", MODAL)) == 0b11
         assert truth_set(cluster_frame, v, parse("p -> q", MODAL)) == 0b10
         assert truth_set(cluster_frame, v, parse("p & q", MODAL)) == 0b00
 
     def test_box_over_r(self, cluster_frame, ms4_chain):
-        v = Valuation.from_points(cluster_frame, {"p": [0]})
+        v = from_points(cluster_frame, {"p": [0]})
         assert truth_set(cluster_frame, v, parse("box p", MODAL)) == 0b00
-        w = Valuation.from_points(ms4_chain, {"p": [1]})
+        w = from_points(ms4_chain, {"p": [1]})
         assert truth_set(ms4_chain, w, parse("box p", MODAL)) == 0b10
 
     def test_forall_over_e(self, cluster_frame):
         # e is the identity here, so forall is pointwise.
-        v = Valuation.from_points(cluster_frame, {"p": [0]})
+        v = from_points(cluster_frame, {"p": [0]})
         assert truth_set(cluster_frame, v, parse("forall p", MODAL)) == 0b01
 
     def test_satisfies(self, ms4_chain):
-        v = Valuation.from_points(ms4_chain, {"p": [1]})
+        v = from_points(ms4_chain, {"p": [1]})
         assert satisfies(ms4_chain, v, 0, parse("~ p", MODAL))
 
     def test_rejects_int_formula(self, cluster_frame):
-        v = Valuation.from_points(cluster_frame, {"p": [0]})
+        v = from_points(cluster_frame, {"p": [0]})
         with pytest.raises(ValueError):
             truth_set(cluster_frame, v, parse("p"))
 
@@ -649,7 +653,7 @@ def test_deep_formula_built_in_python(two_point_frame):
     assert hash(phi) == hash(chain(5000))
     assert phi == chain(5000) and phi != chain(4999)
     assert phi.letters() == ("p",)
-    assert (phi.depth(), phi.modal_depth()) == (5000, 0)
+    assert phi.depth() == 5000
     assert sum(1 for _ in phi.subformulas()) == 5001
     short = countermodel(two_point_frame, chain(2))
     assert short is not None

@@ -34,11 +34,15 @@ from kripkit.syntax import (
 )
 
 
+def unary_makers(lang: str):
+    return [neg, forall] + ([exists] if lang == INT else [box])
+
+
 def formulas(lang: str):
     atoms = st.sampled_from(
         [letter(n, lang) for n in ("p", "q", "r")] + [top(lang), bottom(lang)]
     )
-    unary = [neg, forall] + ([exists] if lang == INT else [box])
+    unary = unary_makers(lang)
 
     def extend(children):
         return st.one_of(
@@ -52,6 +56,25 @@ def formulas(lang: str):
         )
 
     return st.recursive(atoms, extend, max_leaves=12)
+
+
+def modal_depth(phi: Formula) -> int:
+    """Nesting depth counting only forall/exists/box."""
+    inner = max((modal_depth(arg) for arg in phi.args), default=0)
+    return inner + (phi.kind in ("forall", "exists", "box"))
+
+
+def tree_shape(phi: Formula) -> tuple[int, int]:
+    """(depth, size) of `phi` walked as a tree with an explicit stack, so a
+    subtree that `<->` shares is visited once per occurrence."""
+    depth = size = 0
+    stack = [(phi, 0)]
+    while stack:
+        node, level = stack.pop()
+        size += 1
+        depth = max(depth, level)
+        stack.extend((arg, level + 1) for arg in node.args)
+    return depth, size
 
 
 class TestParser:
@@ -141,6 +164,29 @@ class TestParser:
             links += 1
         assert 1 < links < MAX_NESTING // 2
 
+    @pytest.mark.parametrize(
+        "build,limit",
+        [
+            (lambda k: "exists " * k + "p", MAX_NESTING),
+            (lambda k: "~" * k + "p", MAX_NESTING),
+            (lambda k: " -> ".join(["p"] * (k + 1)), MAX_NESTING),
+            (lambda k: " <-> ".join(["p"] * (k + 1)), 10),
+        ],
+    )
+    def test_recursive_passes_cope_at_the_limits(self, build, limit):
+        # The deepest and largest formulas `parse` accepts go through every
+        # recursive pass.  A translation may be deeper than MAX_NESTING:
+        # `exists` becomes `~ forall ~`, so it triples.
+        with pytest.raises(ParseError):
+            parse(build(limit + 1))
+        phi = parse(build(limit))
+        assert parse(print_formula(phi)) == phi
+        translated = godel_translate(phi)
+        assert translated.depth() <= 3 * phi.depth() + 1
+        assert isinstance(print_formula(translated), str)
+        assert isinstance(star_translate(phi), str)
+        assert desugar(phi).depth() == phi.depth()
+
     def test_wrong_language_connective(self):
         with pytest.raises(LanguageError):
             parse("box p", INT)
@@ -180,8 +226,8 @@ class TestFormula:
     def test_depths(self):
         phi = parse("forall(p -> q) & exists r")
         assert phi.depth() == 3
-        assert phi.modal_depth() == 1
-        assert parse("box box p", MODAL).modal_depth() == 2
+        assert modal_depth(phi) == 1
+        assert modal_depth(parse("box box p", MODAL)) == 2
         assert letter("p").depth() == 0
 
     def test_subformulas_preorder(self):
@@ -206,10 +252,6 @@ class TestFormula:
         def depth(phi):
             return 1 + max(depth(arg) for arg in phi.args) if phi.args else 0
 
-        def modal_depth(phi):
-            inner = max((modal_depth(arg) for arg in phi.args), default=0)
-            return inner + (phi.kind in ("forall", "exists", "box"))
-
         def rebuild(phi):
             return Formula(phi.lang, phi.kind, phi.name, tuple(rebuild(a) for a in phi.args))
 
@@ -219,7 +261,6 @@ class TestFormula:
         names = {f.name for f in subformulas(phi) if f.kind == "letter"}
         assert phi.letters() == tuple(sorted(names))
         assert phi.depth() == depth(phi)
-        assert phi.modal_depth() == modal_depth(phi)
         assert hash(phi) == hash((phi.lang, phi.kind, phi.name, phi.args))
         copy = rebuild(phi)
         assert copy is not phi and copy == phi and hash(copy) == hash(phi)
@@ -227,6 +268,22 @@ class TestFormula:
             return (f.lang, f.kind, f.name, tuple(map(structural, f.args)))
 
         assert (phi == other) == (structural(phi) == structural(other))
+
+        # The stored shape against a tree walk: on the drawn formula, on a
+        # `<->` chain of drawn formulas (whose sides are shared), and on a
+        # chain of connectives around it, at times 5,000 deep, out of reach
+        # of the recursive oracles.
+        iff = parse(" <-> ".join(f"({print_formula(f)})" for f in (phi, other, phi)), lang)
+        p = letter("p", lang)
+        makers = unary_makers(lang) + [lambda f: implies(f, p)]
+        pattern = data.draw(st.lists(st.sampled_from(makers), min_size=1, max_size=3))
+        length = data.draw(st.sampled_from([1, 2, 5000]))
+        chain = phi
+        for i in range(length):
+            chain = pattern[i % len(pattern)](chain)
+        for f in (phi, iff, chain):
+            assert (f.depth(), f._size) == tree_shape(f)
+        assert chain.depth() == phi.depth() + length
 
 
 class TestPrinter:
@@ -364,3 +421,7 @@ class TestRandomFormula:
             assert phi.lang == lang
             assert phi.depth() <= 3
             assert set(phi.letters()) <= {"p", "q"}
+
+    def test_rejects_negative_depth(self):
+        with pytest.raises(ValueError, match="max_depth"):
+            random_formula(random.Random(0), ("p",), -1)
