@@ -13,15 +13,20 @@ the paper's name for `s`:
 
 `validate_frame` checks a frame's conditions, reporting each failure with a
 witness.  Relations are stored as bitmask rows: bit j of `rows[i]` is set iff
-i is related to j.  Everything here is exhaustive search over points, so
-sizes are capped at MAX_POINTS.
+i is related to j, and the checks read those rows directly.  Derived
+relations (a relation's converse, an intuitionistic frame's cluster
+equivalence `e_q`) are computed once per object and kept on it.  `bits`
+returns a cached tuple.  A mask with a bit at or above the point count, or
+a negative one, raises `ValueError` instead of being read past the rows.
+Everything here is exhaustive search over points, so sizes are capped at
+MAX_POINTS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import ClassVar, Iterable, Iterator
+from functools import cached_property, lru_cache
+from typing import ClassVar, Iterable
 
 MAX_POINTS = 12
 
@@ -30,12 +35,18 @@ class BoundExceeded(ValueError):
     """A size cap was hit; raise instead of attempting a huge search."""
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of `mask`, ascending."""
+@lru_cache(maxsize=1 << MAX_POINTS)
+def bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of `mask`, ascending.  Every row mask of a
+    capped frame fits in the cache."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -43,6 +54,12 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         out |= 1 << i
     return out
+
+
+def _check_mask(mask: int, n: int) -> None:
+    """Raise unless `mask` is a set of points of an n-point frame."""
+    if mask >> n:
+        raise ValueError(f"mask {mask} out of range for n={n}")
 
 
 @dataclass(frozen=True)
@@ -57,10 +74,11 @@ class Relation:
             raise BoundExceeded(f"relation size {self.n} exceeds cap {MAX_POINTS}")
         if len(self.rows) != self.n:
             raise ValueError("row count must equal n")
-        full = (1 << self.n) - 1
+        union = 0
         for row in self.rows:
-            if row & ~full:
-                raise ValueError("row has bits outside the point range")
+            union |= row
+        if union >> self.n:
+            raise ValueError("row has bits outside the point range")
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
@@ -88,6 +106,7 @@ class Relation:
 
     def image(self, mask: int) -> int:
         """All points reachable in one step from `mask`."""
+        _check_mask(mask, self.n)
         out = 0
         for i in bits(mask):
             out |= self.rows[i]
@@ -95,6 +114,7 @@ class Relation:
 
     def preimage(self, mask: int) -> int:
         """All points that reach `mask` in one step."""
+        _check_mask(mask, self.n)
         out = 0
         for i in range(self.n):
             if self.rows[i] & mask:
@@ -102,7 +122,15 @@ class Relation:
         return out
 
     def converse(self) -> "Relation":
-        return Relation(self.n, tuple(self.preimage(1 << j) for j in range(self.n)))
+        return self._converse
+
+    @cached_property
+    def _converse(self) -> "Relation":
+        rows = [0] * self.n
+        for i, row in enumerate(self.rows):
+            for j in bits(row):
+                rows[j] |= 1 << i
+        return Relation(self.n, tuple(rows))
 
     def compose(self, other: "Relation") -> "Relation":
         """x (self;other) z iff x self y and y other z for some y."""
@@ -226,6 +254,10 @@ class IntFrame(Frame):
 
     def e_q(self) -> Relation:
         """Equivalence of mutual Q-reachability (Q-cluster relation)."""
+        return self._e_q
+
+    @cached_property
+    def _e_q(self) -> Relation:
         return self.q.meet(self.q.converse())
 
 
@@ -244,32 +276,37 @@ FRAME_TYPES = {frame_type.kind: frame_type for frame_type in (IntFrame, MS4Frame
 
 
 def _reflexive_witness(rel: Relation) -> tuple[int, ...] | None:
-    for i in range(rel.n):
-        if not rel.has(i, i):
+    for i, row in enumerate(rel.rows):
+        if not row >> i & 1:
             return (i,)
     return None
 
 
 def _transitive_witness(rel: Relation) -> tuple[int, ...] | None:
-    for i in range(rel.n):
-        for j in bits(rel.rows[i]):
-            missing = rel.rows[j] & ~rel.rows[i]
+    rows = rel.rows
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            missing = rows[j] & ~row
             if missing:
-                return (i, j, next(bits(missing)))
+                return (i, j, bits(missing)[0])
     return None
 
 
 def _antisymmetric_witness(rel: Relation) -> tuple[int, ...] | None:
-    for i, j in combinations(range(rel.n), 2):
-        if rel.has(i, j) and rel.has(j, i):
-            return (i, j)
+    # First i < j (lexicographically) with i r j and j r i.
+    rows = rel.rows
+    for i, row in enumerate(rows):
+        for j in bits(row >> i + 1 << i + 1):
+            if rows[j] >> i & 1:
+                return (i, j)
     return None
 
 
 def _symmetric_witness(rel: Relation) -> tuple[int, ...] | None:
-    for i in range(rel.n):
-        for j in bits(rel.rows[i]):
-            if not rel.has(j, i):
+    rows = rel.rows
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            if not rows[j] >> i & 1:
                 return (i, j)
     return None
 
@@ -278,7 +315,7 @@ def _subset_witness(sub: Relation, sup: Relation) -> tuple[int, ...] | None:
     for i in range(sub.n):
         extra = sub.rows[i] & ~sup.rows[i]
         if extra:
-            return (i, next(bits(extra)))
+            return (i, bits(extra)[0])
     return None
 
 
@@ -288,7 +325,7 @@ def _decomposition_witness(frame: IntFrame) -> tuple[int, ...] | None:
     for x in range(frame.n):
         missing = frame.q.rows[x] & ~eq.image(frame.r.rows[x])
         if missing:
-            return (x, next(bits(missing)))
+            return (x, bits(missing)[0])
     return None
 
 
@@ -300,7 +337,7 @@ def _commute_witness(r: Relation, e: Relation) -> tuple[int, ...] | None:
         for y in bits(e.rows[x]):
             missing = r.rows[y] & ~around
             if missing:
-                return (x, y, next(bits(missing)))
+                return (x, y, bits(missing)[0])
     return None
 
 
@@ -381,6 +418,7 @@ def max_points(rel: Relation, subset: Iterable[int]) -> list[int]:
     inside the subset is themselves.  Inside a proper cluster this is empty,
     which is what makes `grz_max_check` detect clusters."""
     mask = mask_of(subset)
+    _check_mask(mask, rel.n)
     return [x for x in bits(mask) if rel.rows[x] & mask & ~(1 << x) == 0]
 
 
@@ -422,16 +460,18 @@ def frame_to_json_dict(frame: Frame) -> dict:
 def _relation_from_json(n: int, pairs, label: str) -> Relation:
     if not isinstance(pairs, list):
         raise ValueError(f"{label} must be a list of index pairs")
-    cleaned = []
+    # Every entry's shape is checked before any index is range-checked.
     for entry in pairs:
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)
+        if not (
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and isinstance(entry[0], int)
+            and isinstance(entry[1], int)
+            and not isinstance(entry[0], bool)
+            and not isinstance(entry[1], bool)
         ):
             raise ValueError(f"{label} entries must be [i, j] index pairs")
-        cleaned.append((entry[0], entry[1]))
-    return Relation.from_pairs(n, cleaned)
+    return Relation.from_pairs(n, pairs)
 
 
 def frame_from_json_dict(data: dict, validate: bool = True) -> Frame:

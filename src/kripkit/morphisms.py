@@ -22,6 +22,9 @@ the converse q-predecessor condition.  The tables the search reads are built
 once per frame, not per call, and kept in small bounded caches keyed by the
 frame: the source side (forth pairs, loop flags, back schedule,
 q-predecessors) and the target side (rows, converse rows, loop masks).
+The morphism predicates read relation rows and the converse rows each
+relation keeps once computed; `apply_mask` raises `ValueError` on a mask
+with a bit at or above the source's point count.
 
 `lift_reduction` composes a reduction of a modal frame's quotient onto a
 clean frame with the projection `skeleton` returns.
@@ -33,7 +36,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .frames import BoundExceeded, Frame, IntFrame, MS4Frame, bits, has_clean_clusters
+from .frames import (
+    BoundExceeded,
+    Frame,
+    IntFrame,
+    MS4Frame,
+    _check_mask,
+    bits,
+    has_clean_clusters,
+)
 
 if TYPE_CHECKING:
     from .functors import QuotientMap
@@ -63,14 +74,16 @@ class FrameMap:
             raise ValueError("map endpoints must be frames of the same kind")
         if len(self.image) != self.source.n:
             raise ValueError("map must cover every source point")
-        for value in self.image:
-            if not 0 <= value < self.target.n:
-                raise ValueError(f"image index {value} out of range")
+        m = self.target.n
+        if min(self.image) < 0 or max(self.image) >= m:
+            bad = next(value for value in self.image if not 0 <= value < m)
+            raise ValueError(f"image index {bad} out of range")
 
     def __call__(self, i: int) -> int:
         return self.image[i]
 
     def apply_mask(self, mask: int) -> int:
+        _check_mask(mask, self.source.n)
         return _image_of(mask, self.image)
 
     def is_onto(self) -> bool:
@@ -88,21 +101,33 @@ def is_p_morphism(f: FrameMap, which: str = "r") -> bool:
     """Back-and-forth condition for the named relation ("r", "q", "e", or
     "s"): the target successors of f(x) are the image of the source
     successors of x."""
-    rel_source = getattr(f.source, which)
-    rel_target = getattr(f.target, which)
-    return all(
-        rel_target.rows[f.image[x]] == f.apply_mask(rel_source.rows[x])
-        for x in range(f.source.n)
-    )
+    image = f.image
+    target_rows = getattr(f.target, which).rows
+    for x, row in enumerate(getattr(f.source, which).rows):
+        if target_rows[image[x]] != _image_of(row, image):
+            return False
+    return True
+
+
+def _converse_holds(image: Sequence[int], q1_preds, r2_preds, q2_preds) -> bool:
+    # q-predecessors of f(x) are exactly r-predecessors of the image of the
+    # q-predecessors of x.  `q1_preds` lists each source point's
+    # q-predecessors; `r2_preds` and `q2_preds` are target converse rows.
+    for x, preds in enumerate(q1_preds):
+        reached = 0
+        for y in preds:
+            reached |= r2_preds[image[y]]
+        if reached != q2_preds[image[x]]:
+            return False
+    return True
 
 
 def _condition4(f: FrameMap) -> bool:
-    # q-predecessors of f(x) are exactly r-predecessors of the image of the
-    # q-predecessors of x.
-    q1, q2, r2 = f.source.q, f.target.q, f.target.r
-    return all(
-        q2.preimage(1 << f.image[x]) == r2.preimage(f.apply_mask(q1.preimage(1 << x)))
-        for x in range(f.source.n)
+    return _converse_holds(
+        f.image,
+        map(bits, f.source.q.converse().rows),
+        f.target.r.converse().rows,
+        f.target.q.converse().rows,
     )
 
 
@@ -173,10 +198,10 @@ def _source_tables(source: Frame):
                     forth[x].append((2 * k, y))
                 elif x < y:
                     forth[y].append((2 * k + 1, x))
-            back[max(y, row.bit_length() - 1)].append((2 * k, y, tuple(bits(row))))
+            back[max(y, row.bit_length() - 1)].append((2 * k, y, bits(row)))
     q_preds = None
     if source.kind == "int":
-        q_preds = tuple(tuple(bits(row)) for row in source.q.converse().rows)
+        q_preds = tuple(map(bits, source.q.converse().rows))
     return loops, tuple(map(tuple, forth)), tuple(map(tuple, back)), q_preds
 
 
@@ -214,20 +239,11 @@ def _search(source, target, onto: bool) -> list[FrameMap]:
     bit = [0] * n
     out = []
 
-    def converse_holds() -> bool:
-        # Forth, back and onto-ness are enforced by the search; the converse
-        # q-predecessor condition (`_condition4`) is not.
-        for x in range(n):
-            reached = 0
-            for y in q_preds[x]:
-                reached |= r_conv[image[y]]
-            if reached != s_conv[image[x]]:
-                return False
-        return True
-
     def extend(x: int, hit: int) -> None:
         if x == n:
-            if q_preds is None or converse_holds():
+            # Forth, back and onto-ness are enforced by the search; the
+            # converse q-predecessor condition (`_condition4`) is not.
+            if q_preds is None or _converse_holds(image, q_preds, r_conv, s_conv):
                 out.append(FrameMap(source, target, tuple(image)))
             return
         # Forth: x's value must be a successor of the image of every

@@ -1,11 +1,14 @@
 """Relation and frame layer: bitmask relations, frame conditions, JSON."""
 
+import re
+from itertools import combinations
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kripkit import frames
-from kripkit.enumeration import equivalences, quasi_orders
+from kripkit.enumeration import EnumerationConfig, enumerate_frames, equivalences, quasi_orders
 from kripkit.frames import (
     MAX_POINTS,
     BoundExceeded,
@@ -28,6 +31,7 @@ from kripkit.frames import (
     validate_int_frame,
     validate_ms4_frame,
 )
+from kripkit.semantics import is_upset
 
 
 # Relation operations only the tests need.
@@ -64,16 +68,77 @@ def reflexive_transitive_closure(rel: Relation) -> Relation:
     return Relation(rel.n, tuple(rows))
 
 
+# Slow oracles: the generator form of `bits`, the pair-by-pair witness
+# searches and the preimage-per-point converse that the row-based code
+# replaced.
+
+
+def bits_oracle(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reflexive_witness_oracle(rel: Relation):
+    for i in range(rel.n):
+        if not rel.has(i, i):
+            return (i,)
+    return None
+
+
+def transitive_witness_oracle(rel: Relation):
+    for i in range(rel.n):
+        for j in bits_oracle(rel.rows[i]):
+            missing = rel.rows[j] & ~rel.rows[i]
+            if missing:
+                return (i, j, next(bits_oracle(missing)))
+    return None
+
+
+def antisymmetric_witness_oracle(rel: Relation):
+    for i, j in combinations(range(rel.n), 2):
+        if rel.has(i, j) and rel.has(j, i):
+            return (i, j)
+    return None
+
+
+def symmetric_witness_oracle(rel: Relation):
+    for i in range(rel.n):
+        for j in bits_oracle(rel.rows[i]):
+            if not rel.has(j, i):
+                return (i, j)
+    return None
+
+
+def converse_oracle(rel: Relation) -> Relation:
+    return Relation(rel.n, tuple(rel.preimage(1 << j) for j in range(rel.n)))
+
+
+WITNESS_ORACLES = [
+    (frames._reflexive_witness, reflexive_witness_oracle),
+    (frames._transitive_witness, transitive_witness_oracle),
+    (frames._antisymmetric_witness, antisymmetric_witness_oracle),
+    (frames._symmetric_witness, symmetric_witness_oracle),
+]
+
+
+def assert_matches_oracles(rel: Relation) -> None:
+    for fast, slow in WITNESS_ORACLES:
+        assert fast(rel) == slow(rel), fast.__name__
+    assert rel.converse() == converse_oracle(rel)
+
+
 @st.composite
-def relations(draw, max_n: int = 5):
-    n = draw(st.integers(1, max_n))
+def relations(draw, max_n: int = 5, min_n: int = 1):
+    n = draw(st.integers(min_n, max_n))
     rows = draw(st.tuples(*(st.integers(0, (1 << n) - 1),) * n))
     return Relation(n, rows)
 
 
 @st.composite
-def small_quasi_orders(draw, max_n: int = 5):
-    return reflexive_transitive_closure(draw(relations(max_n)))
+def small_quasi_orders(draw, max_n: int = 5, min_n: int = 1):
+    return reflexive_transitive_closure(draw(relations(max_n, min_n)))
 
 
 JSON_VALUES = st.recursive(
@@ -107,6 +172,70 @@ def frame_shaped(draw):
     return data
 
 
+# Odd relation entries of every JSON-like shape: bools, floats, None,
+# strings, tuples, nested lists, entries of 1 to 3 values, pairs out of
+# range.
+JSON_SCALARS = (
+    st.integers(-1, 3) | st.booleans() | st.floats(allow_nan=False) | st.none() | st.text(max_size=1)
+)
+INDEX_PAIRS = st.lists(st.integers(0, 2), min_size=2, max_size=2)
+JSON_ENTRIES = (
+    st.lists(st.integers(-1, 3), min_size=2, max_size=2)
+    | st.tuples(st.integers(0, 3), st.integers(0, 3))
+    | st.tuples(st.integers(0, 2), JSON_SCALARS).map(list)
+    | st.tuples(JSON_SCALARS, st.integers(0, 2)).map(list)
+    | st.lists(JSON_SCALARS, min_size=1, max_size=3)
+    | st.lists(INDEX_PAIRS, min_size=2, max_size=2)
+    | JSON_SCALARS
+)
+
+
+@st.composite
+def json_relations(draw):
+    """Mostly a list of index pairs (out of range when there are fewer than
+    three points) with up to two odd entries anywhere in it, so that later
+    relations are reached too; at times not a list at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_SCALARS | st.tuples(INDEX_PAIRS))
+    entries = draw(st.lists(INDEX_PAIRS, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        entries.insert(draw(st.integers(0, len(entries))), draw(JSON_ENTRIES))
+    return entries
+
+
+@st.composite
+def frame_json_relations(draw):
+    points = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    data = {"kind": draw(st.sampled_from(["int", "ms4"])), "points": points}
+    for key in ("R", "Q", "E"):
+        data[key] = draw(json_relations())
+    return data
+
+
+def relation_from_json_oracle(n: int, pairs, label: str) -> Relation:
+    """The loader's relation reader before it checked entries in one loop."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"{label} must be a list of index pairs")
+    cleaned = []
+    for entry in pairs:
+        if (
+            not isinstance(entry, (list, tuple))
+            or len(entry) != 2
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)
+        ):
+            raise ValueError(f"{label} entries must be [i, j] index pairs")
+        cleaned.append((entry[0], entry[1]))
+    return Relation.from_pairs(n, cleaned)
+
+
+def load_outcome(data):
+    """The loaded frame, or the type and message of the error raised."""
+    try:
+        return frame_from_json_dict(data)
+    except Exception as exc:  # noqa: BLE001 - the outcome is what is compared
+        return type(exc), str(exc)
+
+
 def reachable_oracle(rel: Relation, start: int) -> set[int]:
     """Graph reachability by plain BFS, for checking the closure."""
     seen = {start}
@@ -124,6 +253,11 @@ class TestBitHelpers:
     def test_bits_ascending(self):
         assert list(bits(0b10110)) == [1, 2, 4]
         assert list(bits(0)) == []
+
+    def test_bits_matches_generator_on_every_row_mask(self):
+        for mask in range(1 << MAX_POINTS):
+            assert bits(mask) == tuple(bits_oracle(mask))
+        assert bits(0b1011) is bits(0b1011)
 
     @given(st.sets(st.integers(0, 11)))
     def test_mask_round_trip(self, indices):
@@ -147,6 +281,8 @@ class TestRelation:
             Relation(2, (0,))
         with pytest.raises(ValueError):
             Relation(2, (0b100, 0))
+        with pytest.raises(ValueError):
+            Relation(2, (-1, 0))
         with pytest.raises(BoundExceeded):
             Relation(MAX_POINTS + 1, (0,) * (MAX_POINTS + 1))
 
@@ -163,6 +299,11 @@ class TestRelation:
     @given(relations())
     def test_converse_involution(self, rel):
         assert rel.converse().converse() == rel
+
+    @given(relations(max_n=6))
+    def test_converse_is_computed_once(self, rel):
+        assert rel.converse() is rel.converse()
+        assert rel.converse() == converse_oracle(rel)
 
     @given(relations())
     def test_preimage_is_converse_image(self, rel):
@@ -226,6 +367,13 @@ class TestRelation:
                 ]
                 for predicate, witness, expected in checks:
                     assert predicate() == (witness(rel) is None) == expected
+                # The row-based searches return the pair-by-pair first
+                # witness.
+                assert_matches_oracles(rel)
+
+    @given(relations(max_n=6, min_n=4) | small_quasi_orders(max_n=6, min_n=4))
+    def test_witnesses_match_oracles_on_larger_relations(self, rel):
+        assert_matches_oracles(rel)
 
     @given(relations())
     def test_closure_matches_reachability(self, rel):
@@ -277,6 +425,34 @@ def _equivalences_cache(n: int):
     from kripkit.enumeration import equivalences
 
     return equivalences(n)
+
+
+class TestMasksOutsideTheFrame:
+    """A mask naming a point the relation does not have is an input error,
+    not an index error, a silent answer or an endless loop."""
+
+    def test_bits_rejects_negative_masks(self):
+        with pytest.raises(ValueError, match="mask -1 is negative"):
+            bits(-1)
+
+    @pytest.mark.parametrize("mask", [-1, 1 << 5, 8])
+    def test_image_and_preimage(self, mask):
+        rel = Relation.identity(3)
+        message = re.escape(f"mask {mask} out of range for n=3")
+        with pytest.raises(ValueError, match=message):
+            rel.image(mask)
+        with pytest.raises(ValueError, match=message):
+            rel.preimage(mask)
+        assert rel.image(7) == rel.preimage(7) == 7
+
+    def test_is_upset(self):
+        with pytest.raises(ValueError, match="mask 8 out of range for n=3"):
+            is_upset(Relation.identity(3), 8)
+
+    @pytest.mark.parametrize("subset", [[5], [0, 3]])
+    def test_max_points(self, subset):
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            max_points(Relation.identity(3), subset)
 
 
 class TestMaxPoints:
@@ -339,6 +515,11 @@ class TestFrameConstruction:
         assert set(bits(eq.rows[0])) == {0, 1}
         assert set(bits(eq.rows[2])) == {2}
         assert two_point_frame.e_q() == Relation.total(2)
+
+    def test_e_q_is_computed_once(self, three_point_frame):
+        for frame in [three_point_frame, *enumerate_frames(EnumerationConfig("int", 4))]:
+            assert frame.e_q() is frame.e_q()
+            assert frame.e_q() == frame.q.meet(converse_oracle(frame.q))
 
     def test_kinds_share_one_shape(self, three_point_frame, cluster_frame):
         assert (three_point_frame.kind, three_point_frame.second) == ("int", "q")
@@ -543,6 +724,8 @@ class TestFrameJson:
             {"kind": "int", "points": ["a"], "R": []},
             {"kind": "ms4", "points": ["a"], "R": [[0, 0]], "E": [[0]]},
             {"kind": "ms4", "points": ["a"], "R": [[0, 0]], "E": [[True, False]]},
+            {"kind": "ms4", "points": ["a"], "R": [[0, 0]], "E": [[0, True]]},
+            {"kind": "ms4", "points": ["a"], "R": [[0, 0.0]], "E": [[0, 0]]},
             {"kind": "ms4", "points": ["a"], "R": [[0, 1]], "E": [[0, 0]]},
             {"kind": "int", "points": ["a"], "R": 7, "Q": []},
         ],
@@ -559,6 +742,34 @@ class TestFrameJson:
             return
         assert isinstance(frame, (IntFrame, MS4Frame))
         assert frame_from_json_dict(frame_to_json_dict(frame)) == frame
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0, True]],
+            [[False, 1]],
+            [[0, 1.0]],
+            [[0, 5], [0]],
+            [[-1, 0], [0, 0, 0]],
+            [(0,), [0, 0]],
+            [[[0], 0]],
+            [[1, 1], None],
+        ],
+    )
+    def test_shape_errors_come_before_range_errors(self, entries):
+        data = {"kind": "ms4", "points": ["a", "b"], "R": [[0, 0], [1, 1]], "E": entries}
+        with pytest.raises(ValueError, match=re.escape("E entries must be [i, j] index pairs")):
+            frame_from_json_dict(data)
+
+    @settings(max_examples=500)
+    @given(frame_json_relations() | frame_shaped())
+    def test_loader_matches_the_oracle_loader(self, data):
+        # Same frame, or the same exception type and message: shape errors
+        # still come before range errors, and witnesses are unchanged.
+        outcome = load_outcome(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frames, "_relation_from_json", relation_from_json_oracle)
+            assert outcome == load_outcome(data)
 
     def test_validation_on_load(self):
         data = {

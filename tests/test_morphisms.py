@@ -5,9 +5,12 @@ bitmask implementations have an independent oracle to answer to.
 """
 
 import random
+import re
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kripkit import morphisms
 from kripkit.enumeration import EnumerationConfig, enumerate_frames
@@ -84,6 +87,35 @@ def int_morphism_oracle(f: FrameMap) -> bool:
     )
 
 
+# The mask forms of the morphism checks, as they read before they looped
+# over rows: per point, the map's image of a successor or predecessor mask.
+
+
+def p_morphism_mask_oracle(f: FrameMap, which: str) -> bool:
+    rel_source = getattr(f.source, which)
+    rel_target = getattr(f.target, which)
+    return all(
+        rel_target.rows[f.image[x]] == f.apply_mask(rel_source.rows[x])
+        for x in range(f.source.n)
+    )
+
+
+def condition4_mask_oracle(f: FrameMap) -> bool:
+    q1, q2, r2 = f.source.q, f.target.q, f.target.r
+    return all(
+        q2.preimage(1 << f.image[x]) == r2.preimage(f.apply_mask(q1.preimage(1 << x)))
+        for x in range(f.source.n)
+    )
+
+
+def image_range_error_oracle(image, m: int) -> str | None:
+    """The message FrameMap's range check gives, from a scan of the image."""
+    for value in image:
+        if not 0 <= value < m:
+            return f"image index {value} out of range"
+    return None
+
+
 def chain_frame(n: int) -> IntFrame:
     r = Relation.from_pairs(n, [(i, j) for i in range(n) for j in range(i, n)])
     return IntFrame(tuple(f"x{i}" for i in range(n)), r, r)
@@ -104,6 +136,23 @@ def test_apply_mask(witness_map):
 def test_is_onto(three_point_frame, two_point_frame):
     assert FrameMap(three_point_frame, two_point_frame, (0, 1, 1)).is_onto()
     assert not FrameMap(three_point_frame, two_point_frame, (1, 1, 1)).is_onto()
+
+
+@given(st.lists(st.integers(-3, 4), min_size=3, max_size=3))
+def test_map_range_check_names_the_first_bad_value(image):
+    source, target = chain_frame(3), chain_frame(2)
+    expected = image_range_error_oracle(image, target.n)
+    if expected is None:
+        assert FrameMap(source, target, tuple(image)).image == tuple(image)
+    else:
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            FrameMap(source, target, tuple(image))
+
+
+@pytest.mark.parametrize("mask", [-1, 0b1000, 1 << 5])
+def test_apply_mask_rejects_masks_outside_the_source(witness_map, mask):
+    with pytest.raises(ValueError, match=re.escape(f"mask {mask} out of range for n=3")):
+        witness_map.apply_mask(mask)
 
 
 def test_map_construction_rejects_bad_input(three_point_frame, two_point_frame, cluster_frame):
@@ -128,6 +177,20 @@ def test_p_morphism_matches_set_oracle():
             for f in all_maps(source, target):
                 for which in ("r", "e"):
                     assert is_p_morphism(f, which) == p_morphism_oracle(f, which)
+
+
+@pytest.mark.parametrize("kind", ["int", "ms4"])
+def test_morphism_checks_match_mask_oracles(kind):
+    # Every map between frames of at most 3 points.
+    frames = enumerate_frames(EnumerationConfig(kind=kind, max_points=3))
+    second = "q" if kind == "int" else "e"
+    for source in frames:
+        for target in frames:
+            for f in all_maps(source, target):
+                for which in ("r", second):
+                    assert is_p_morphism(f, which) == p_morphism_mask_oracle(f, which)
+                if kind == "int":
+                    assert morphisms._condition4(f) == condition4_mask_oracle(f)
 
 
 def test_identity_maps_are_morphisms_and_reductions():

@@ -215,6 +215,82 @@ def test_cli_check_frame_violation(tmp_path, capsys):
     assert payload["violations"][0]["witness"] == [0, 1]
 
 
+# Frames failing several conditions at once, with the report check-frame
+# printed for each before the checks read relation rows directly; the
+# witnesses must not move.
+CHECK_FRAME_PINS = [
+    (
+        {
+            "kind": "int",
+            "points": ["a", "b", "c"],
+            "R": [[0, 1], [1, 2], [0, 0], [1, 1]],
+            "Q": [[0, 1], [1, 0], [2, 2]],
+        },
+        "violation r-reflexive at (c): point not r-related to itself\n"
+        "violation r-transitive at (a, b, c): r misses a composite step\n"
+        "violation q-reflexive at (a): point not q-related to itself\n"
+        "violation q-transitive at (a, b, a): q misses a composite step\n"
+        "violation r-subset-q at (a, a): r-step missing from q\n",
+    ),
+    (
+        {
+            "kind": "int",
+            "points": ["a", "b", "c", "d"],
+            "R": [[0, 0], [1, 1], [2, 2], [3, 3], [1, 3], [3, 1], [0, 2]],
+            "Q": [[i, j] for i in range(4) for j in range(4)],
+        },
+        "violation r-antisymmetric at (b, d): r has a two-point cycle\n",
+    ),
+    (
+        {
+            "kind": "int",
+            "points": ["a", "b", "c"],
+            "R": [[0, 0], [1, 1], [2, 2]],
+            "Q": [[0, 0], [1, 1], [2, 2], [1, 2]],
+        },
+        "violation q-witness at (b, c): q-step with no r-then-cluster decomposition\n",
+    ),
+    (
+        {
+            "kind": "ms4",
+            "points": ["a", "b", "c"],
+            "R": [[0, 0], [2, 2], [0, 1], [1, 2]],
+            "E": [[0, 0], [1, 1], [2, 2], [0, 2], [1, 2], [2, 1]],
+        },
+        "violation r-reflexive at (b): point not r-related to itself\n"
+        "violation r-transitive at (a, b, c): r misses a composite step\n"
+        "violation e-symmetric at (a, c): e-step with no reverse\n"
+        "violation e-transitive at (a, c, b): e misses a composite step\n",
+    ),
+    (
+        {
+            "kind": "ms4",
+            "points": ["a", "b", "c", "d"],
+            "R": [[0, 0], [1, 1], [2, 2], [3, 3]],
+            "E": [[0, 0], [1, 1], [2, 2], [3, 3], [2, 3], [3, 2], [1, 2], [2, 1]],
+        },
+        "violation e-transitive at (b, c, d): e misses a composite step\n",
+    ),
+    (
+        {
+            "kind": "ms4",
+            "points": ["a", "b", "c", "d"],
+            "R": [[0, 0], [1, 1], [2, 2], [3, 3], [2, 3]],
+            "E": [[0, 0], [1, 1], [2, 2], [3, 3], [1, 2], [2, 1]],
+        },
+        "violation commute at (b, c, d): e-then-r step that r-then-e cannot match\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("data,expected", CHECK_FRAME_PINS)
+def test_cli_check_frame_witnesses_are_pinned(tmp_path, capsys, data, expected):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["check-frame", str(path)]) == 1
+    assert capsys.readouterr().out == expected
+
+
 def test_cli_deeply_nested_frame_file_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200000 + "]" * 200000)
