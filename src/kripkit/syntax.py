@@ -10,7 +10,10 @@ distinguished by a language tag:
 Concrete syntax, loosest to tightest: ``<->`` (desugared at parse time),
 ``->`` (right associative), ``|``, ``&``, then the unary prefixes ``~``,
 ``forall``, ``exists``, ``box``.  ``T`` and ``F`` are the constants; letters
-match ``[a-z][a-z0-9_]*``.
+match ``[a-z][a-z0-9_]*``.  One table, `_BINARY`, states each binary
+connective's symbol, precedence and associativity; the parser's
+operator-precedence loop and the printers both read it.  The printers walk
+the formula with an explicit stack, so they handle any depth.
 """
 
 from __future__ import annotations
@@ -36,6 +39,20 @@ _ARITY = {
     "or": 2,
     "implies": 2,
 }
+
+# Binary connectives, loosest first: kind -> (symbol, precedence, right
+# associative).  "iff" is parse-time sugar for (A -> B) & (B -> A), so no
+# node has that kind.
+_BINARY = {
+    "iff": ("<->", 0, True),
+    "implies": ("->", 1, True),
+    "or": ("|", 2, False),
+    "and": ("&", 3, False),
+}
+
+# The connectives of one language only, and each language's name in messages.
+_ONLY_IN = {"exists": INT, "box": MODAL}
+_LANG_NAME = {INT: ("an", "intuitionistic"), MODAL: ("a", "modal")}
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _KEYWORDS = frozenset(("forall", "exists", "box"))
@@ -93,10 +110,9 @@ class Formula:
                 raise ValueError(f"bad letter name {self.name!r}")
         elif self.name:
             raise ValueError(f"{self.kind} does not take a name")
-        if self.kind == "exists" and self.lang != INT:
-            raise ValueError("'exists' belongs to the intuitionistic language")
-        if self.kind == "box" and self.lang != MODAL:
-            raise ValueError("'box' belongs to the modal language")
+        only = _ONLY_IN.get(self.kind, self.lang)
+        if only != self.lang:
+            raise ValueError(f"{self.kind!r} belongs to the {_LANG_NAME[only][1]} language")
         depth, size = 0, 1
         for arg in self.args:
             if arg.lang != self.lang:
@@ -214,8 +230,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # Deepest nesting `parse` accepts: of connectives in the result (the depth
 # each node stores), and of prefixes and parentheses in the text.  Deeper
 # input raises ParseError rather than exhausting the interpreter stack, here
-# or in the recursive passes that follow (desugaring, printing, translation,
-# evaluation).  Formulas built in Python have no such cap.
+# or in the recursive passes that follow (`desugar`, `godel_translate`).
+# Formulas built in Python have no such cap.
 MAX_NESTING = 100
 # Most nodes the result of `parse` may have, counted as a tree (the size
 # each node stores).  `A <-> B` shares A and B between its two implications,
@@ -223,7 +239,9 @@ MAX_NESTING = 100
 # walk; larger results raise ParseError instead of hanging them.
 MAX_SIZE = 10_000
 
-_PREFIX = {"~": neg, "forall": forall, "exists": exists, "box": box}
+_PREFIX = {"~": "not", "forall": "forall", "exists": "exists", "box": "box"}
+# Infix token -> (kind, precedence, right associative), read off `_BINARY`.
+_INFIX = {symbol: (kind, prec, right) for kind, (symbol, prec, right) in _BINARY.items()}
 
 
 class _Parser:
@@ -232,9 +250,6 @@ class _Parser:
         self.lang = lang
         self.pos = 0
         self.open = 0  # prefixes and parentheses enclosing the current token
-
-    def peek(self) -> str:
-        return self.tokens[self.pos][0]
 
     def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
@@ -249,8 +264,8 @@ class _Parser:
         if self.open > MAX_NESTING:
             raise self.too_deep(position)
 
-    def node(self, make, position: int, *args: Formula) -> Formula:
-        out = make(*args)
+    def node(self, kind: str, position: int, *args: Formula) -> Formula:
+        out = Formula(self.lang, kind, args=args)
         if out._depth > MAX_NESTING:
             raise self.too_deep(position)
         if out._size > MAX_SIZE:
@@ -258,60 +273,48 @@ class _Parser:
         return out
 
     def formula(self) -> Formula:
-        # A <-> B is sugar for (A -> B) & (B -> A); right associative.
-        parts = [self.implication()]
-        positions = []
-        while self.peek() == "<->":
-            positions.append(self.take()[2])
-            parts.append(self.implication())
-        out = parts.pop()
-        while parts:
-            lhs, position = parts.pop(), positions.pop()
-            out = self.node(
-                conj,
-                position,
-                self.node(implies, position, lhs, out),
-                self.node(implies, position, out, lhs),
-            )
-        return out
+        # Operator precedence: `waiting` holds the infix operators whose right
+        # operand is still being read.  An arriving operator first reduces
+        # every waiting one that binds tighter, and an equal one too unless it
+        # is right associative; the end of the formula reduces them all.
+        operands = [self.unary()]
+        waiting: list[tuple[str, int, int]] = []  # (kind, precedence, position)
+        while True:
+            token, _, position = self.tokens[self.pos]
+            kind, prec, right = _INFIX.get(token, ("", -1, False))
+            while waiting and waiting[-1][1] >= prec + right:
+                self.reduce(operands, waiting.pop())
+            if not kind:
+                return operands[0]
+            self.pos += 1
+            waiting.append((kind, prec, position))
+            operands.append(self.unary())
 
-    def implication(self) -> Formula:
-        parts = [self.disjunction()]
-        positions = []
-        while self.peek() == "->":
-            positions.append(self.take()[2])
-            parts.append(self.disjunction())
-        out = parts.pop()
-        while parts:
-            out = self.node(implies, positions.pop(), parts.pop(), out)
-        return out
-
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while self.peek() == "|":
-            position = self.take()[2]
-            out = self.node(disj, position, out, self.conjunction())
-        return out
-
-    def conjunction(self) -> Formula:
-        out = self.unary()
-        while self.peek() == "&":
-            position = self.take()[2]
-            out = self.node(conj, position, out, self.unary())
-        return out
+    def reduce(self, operands: list[Formula], op: tuple[str, int, int]) -> None:
+        """Replace the last two operands by the waiting operator `op` applied
+        to them."""
+        kind, _, position = op
+        rhs = operands.pop()
+        lhs = operands.pop()
+        if kind == "iff":
+            # A <-> B is sugar for (A -> B) & (B -> A).
+            there = self.node("implies", position, lhs, rhs)
+            back = self.node("implies", position, rhs, lhs)
+            operands.append(self.node("and", position, there, back))
+        else:
+            operands.append(self.node(kind, position, lhs, rhs))
 
     def unary(self) -> Formula:
         kind, _, position = self.tokens[self.pos]
-        if kind == "exists" and self.lang != INT:
-            raise LanguageError("'exists' is not a modal connective", position)
-        if kind == "box" and self.lang != MODAL:
-            raise LanguageError("'box' is not an intuitionistic connective", position)
-        make = _PREFIX.get(kind)
-        if make is None:
+        if _ONLY_IN.get(kind, self.lang) != self.lang:
+            article, name = _LANG_NAME[self.lang]
+            raise LanguageError(f"{kind!r} is not {article} {name} connective", position)
+        prefix = _PREFIX.get(kind)
+        if prefix is None:
             return self.atom()
         self.take()
         self.enter(position)
-        out = self.node(make, position, self.unary())
+        out = self.node(prefix, position, self.unary())
         self.open -= 1
         return out
 
@@ -352,8 +355,6 @@ def parse(text: str, lang: str = INT) -> Formula:
 
 # --- printing --------------------------------------------------------------
 
-_BINARY_SYMBOL = {"and": "&", "or": "|", "implies": "->"}
-_BINARY_PREC = {"implies": 1, "or": 2, "and": 3}
 _UNARY_PREC = 4
 _ATOM_PREC = 5
 
@@ -363,49 +364,51 @@ def _prec(phi: Formula) -> int:
         return _ATOM_PREC
     if _ARITY[phi.kind] == 1:
         return _UNARY_PREC
-    return _BINARY_PREC[phi.kind]
+    return _BINARY[phi.kind][1]
 
 
-def _print_unary(symbol: str, arg_text: str, arg_prec: int) -> str:
-    if arg_prec >= _UNARY_PREC:
-        return f"{symbol} {arg_text}"
-    return f"{symbol}({arg_text})"
-
-
-def _print_binary(phi: Formula, render) -> str:
-    op = phi.kind
-    prec = _BINARY_PREC[op]
-    lhs, rhs = phi.args
-    left = render(lhs)
-    right = render(rhs)
-    # & and | associate to the left in the AST, -> to the right; mirror that
-    # so printing never adds parentheses a reparse would not restore.
-    if op == "implies":
-        if _prec(lhs) <= prec:
-            left = f"({left})"
-        if _prec(rhs) < prec:
-            right = f"({right})"
-    else:
-        if _prec(lhs) < prec:
-            left = f"({left})"
-        if _prec(rhs) <= prec:
-            right = f"({right})"
-    return f"{left} {_BINARY_SYMBOL[op]} {right}"
+def _render(phi: Formula, star: bool) -> str:
+    """Text of `phi`; with `star`, letters become predicates applied to `x`
+    and the quantifier modalities quantifiers over `x`.  The stack holds
+    the nodes still to render and the text between them, the next piece on
+    top, so each piece is emitted once, in order."""
+    pieces: list[str] = []
+    stack: list[Formula | str] = [phi]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            pieces.append(item)
+            continue
+        kind = item.kind
+        if kind == "letter":
+            pieces.append(f"{item.name}(x)" if star else item.name)
+        elif kind == "top":
+            pieces.append("T")
+        elif kind == "bottom":
+            pieces.append("F")
+        elif len(item.args) == 1:
+            arg = item.args[0]
+            bare = _prec(arg) >= _UNARY_PREC
+            if star and kind != "not":
+                pieces.append(f"{kind} x " + ("" if bare else "("))
+            else:
+                pieces.append(("~" if kind == "not" else kind) + (" " if bare else "("))
+            stack += [arg] if bare else [")", arg]
+        else:
+            lhs, rhs = item.args
+            symbol, prec, right = _BINARY[kind]
+            # The AST nests an operator on its associative side without
+            # parentheses; mirror that so printing never adds parentheses a
+            # reparse would not restore.
+            stack += [")", rhs, "("] if _prec(rhs) < prec + (not right) else [rhs]
+            stack.append(f" {symbol} ")
+            stack += [")", lhs, "("] if _prec(lhs) < prec + right else [lhs]
+    return "".join(pieces)
 
 
 def print_formula(phi: Formula) -> str:
     """Render `phi` so that parse(print_formula(phi), phi.lang) == phi."""
-    kind = phi.kind
-    if kind == "letter":
-        return phi.name
-    if kind == "top":
-        return "T"
-    if kind == "bottom":
-        return "F"
-    if _ARITY[kind] == 1:
-        symbol = "~" if kind == "not" else kind
-        return _print_unary(symbol, print_formula(phi.args[0]), _prec(phi.args[0]))
-    return _print_binary(phi, print_formula)
+    return _render(phi, False)
 
 
 def desugar(phi: Formula) -> Formula:
@@ -450,24 +453,6 @@ def godel_translate(phi: Formula) -> Formula:
     raise ValueError(f"cannot translate formula kind {kind!r}")
 
 
-def _star(phi: Formula) -> str:
-    kind = phi.kind
-    if kind == "letter":
-        return f"{phi.name}(x)"
-    if kind == "top":
-        return "T"
-    if kind == "bottom":
-        return "F"
-    if kind == "not":
-        return _print_unary("~", _star(phi.args[0]), _prec(phi.args[0]))
-    if kind in ("forall", "exists"):
-        inner = _star(phi.args[0])
-        if _prec(phi.args[0]) >= _UNARY_PREC:
-            return f"{kind} x {inner}"
-        return f"{kind} x ({inner})"
-    return _print_binary(phi, _star)
-
-
 def star_translate(phi: Formula) -> str:
     """Render an intuitionistic formula as a one-variable predicate formula.
 
@@ -477,7 +462,7 @@ def star_translate(phi: Formula) -> str:
     """
     if phi.lang != INT:
         raise ValueError("translation expects an intuitionistic formula")
-    return _star(phi)
+    return _render(phi, True)
 
 
 # --- named formula families --------------------------------------------------

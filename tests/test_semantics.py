@@ -42,6 +42,7 @@ from kripkit.syntax import (
     parse,
     print_formula,
     random_formula,
+    star_translate,
     top,
 )
 from kripkit.workbench import translation_formulas
@@ -641,8 +642,8 @@ def test_caches_agree_with_oracle_cold_and_warm():
 
 def test_deep_formula_built_in_python(two_point_frame):
     # 5000 negations: no parser limit applies, and hashing, equality, the
-    # walkers, the program cache and the evaluator must all cope.  ~~~~p is ~~p, so the
-    # first countermodel is that of ~~p.
+    # walkers, the program cache, the evaluator and the printers must all
+    # cope.  ~~~~p is ~~p, so the first countermodel is that of ~~p.
     def chain(depth):
         phi = letter("p")
         for _ in range(depth):
@@ -661,3 +662,6 @@ def test_deep_formula_built_in_python(two_point_frame):
         found = countermodel(two_point_frame, deep)
         assert (found.valuation, found.point) == (short.valuation, short.point)
     assert countermodel(two_point_frame, implies(chain(5001), chain(1))) is None
+    text = "~ " * 5000 + "p"
+    assert found.to_json_dict()["formula"] == str(phi) == print_formula(phi) == text
+    assert star_translate(phi) == text + "(x)"

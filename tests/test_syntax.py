@@ -1,11 +1,13 @@
 """Formula layer: parser, printer, translations, corpus."""
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kripkit import syntax
 from kripkit.syntax import (
     INT,
     MODAL,
@@ -77,7 +79,164 @@ def tree_shape(phi: Formula) -> tuple[int, int]:
     return depth, size
 
 
+class _DescentParser(syntax._Parser):
+    """Oracle: the recursive-descent parser that the operator-precedence loop
+    replaced, one method per binary precedence level, with the language rule
+    spelled out in `unary`."""
+
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def formula(self) -> Formula:
+        # A <-> B is sugar for (A -> B) & (B -> A); right associative.
+        parts = [self.implication()]
+        positions = []
+        while self.peek() == "<->":
+            positions.append(self.take()[2])
+            parts.append(self.implication())
+        out = parts.pop()
+        while parts:
+            lhs, position = parts.pop(), positions.pop()
+            out = self.node(
+                "and",
+                position,
+                self.node("implies", position, lhs, out),
+                self.node("implies", position, out, lhs),
+            )
+        return out
+
+    def implication(self) -> Formula:
+        parts = [self.disjunction()]
+        positions = []
+        while self.peek() == "->":
+            positions.append(self.take()[2])
+            parts.append(self.disjunction())
+        out = parts.pop()
+        while parts:
+            out = self.node("implies", positions.pop(), parts.pop(), out)
+        return out
+
+    def disjunction(self) -> Formula:
+        out = self.conjunction()
+        while self.peek() == "|":
+            position = self.take()[2]
+            out = self.node("or", position, out, self.conjunction())
+        return out
+
+    def conjunction(self) -> Formula:
+        out = self.unary()
+        while self.peek() == "&":
+            position = self.take()[2]
+            out = self.node("and", position, out, self.unary())
+        return out
+
+    def unary(self) -> Formula:
+        kind, _, position = self.tokens[self.pos]
+        if kind == "exists" and self.lang != INT:
+            raise LanguageError("'exists' is not a modal connective", position)
+        if kind == "box" and self.lang != MODAL:
+            raise LanguageError("'box' is not an intuitionistic connective", position)
+        return super().unary()
+
+
+# Oracle: the recursive printers that the explicit-stack renderer replaced.
+_ORACLE_SYMBOL = {"and": "&", "or": "|", "implies": "->"}
+_ORACLE_PREC = {"implies": 1, "or": 2, "and": 3}
+
+
+def _oracle_prec(phi: Formula) -> int:
+    if not phi.args:
+        return 5
+    if len(phi.args) == 1:
+        return 4
+    return _ORACLE_PREC[phi.kind]
+
+
+def _oracle_unary(symbol: str, arg_text: str, arg_prec: int) -> str:
+    if arg_prec >= 4:
+        return f"{symbol} {arg_text}"
+    return f"{symbol}({arg_text})"
+
+
+def _oracle_binary(phi: Formula, render) -> str:
+    op = phi.kind
+    prec = _ORACLE_PREC[op]
+    lhs, rhs = phi.args
+    left = render(lhs)
+    right = render(rhs)
+    if op == "implies":
+        if _oracle_prec(lhs) <= prec:
+            left = f"({left})"
+        if _oracle_prec(rhs) < prec:
+            right = f"({right})"
+    else:
+        if _oracle_prec(lhs) < prec:
+            left = f"({left})"
+        if _oracle_prec(rhs) <= prec:
+            right = f"({right})"
+    return f"{left} {_ORACLE_SYMBOL[op]} {right}"
+
+
+def oracle_print(phi: Formula) -> str:
+    kind = phi.kind
+    if kind == "letter":
+        return phi.name
+    if kind == "top":
+        return "T"
+    if kind == "bottom":
+        return "F"
+    if len(phi.args) == 1:
+        symbol = "~" if kind == "not" else kind
+        return _oracle_unary(symbol, oracle_print(phi.args[0]), _oracle_prec(phi.args[0]))
+    return _oracle_binary(phi, oracle_print)
+
+
+def oracle_star(phi: Formula) -> str:
+    kind = phi.kind
+    if kind == "letter":
+        return f"{phi.name}(x)"
+    if kind == "top":
+        return "T"
+    if kind == "bottom":
+        return "F"
+    if kind == "not":
+        return _oracle_unary("~", oracle_star(phi.args[0]), _oracle_prec(phi.args[0]))
+    if kind in ("forall", "exists"):
+        inner = oracle_star(phi.args[0])
+        if _oracle_prec(phi.args[0]) >= 4:
+            return f"{kind} x {inner}"
+        return f"{kind} x ({inner})"
+    return _oracle_binary(phi, oracle_star)
+
+
+def parse_outcome(text: str, lang: str):
+    """The formula `parse` returns, or its error's type, message and position."""
+    try:
+        return parse(text, lang)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+# Letters, constants, every connective and keyword, parentheses, a space and
+# one character the tokenizer rejects.
+TOKENS = ["p", "q", "x1", "T", "F", "(", ")", "&", "|", "->", "<->", "~",
+          "forall", "exists", "box", " ", "@"]
+token_strings = st.builds(
+    str.join, st.sampled_from(["", " "]), st.lists(st.sampled_from(TOKENS), max_size=30)
+)
+
+
 class TestParser:
+    @pytest.mark.parametrize("lang", [INT, MODAL])
+    @settings(max_examples=300)
+    @given(text=token_strings)
+    @example(text=" -> ".join(["p"] * 102))  # 101 links: one level too deep
+    @example(text=" <-> ".join(["p"] * 12))  # 11 links: too many nodes
+    def test_matches_descent_oracle(self, lang, text):
+        with mock.patch.object(syntax, "_Parser", _DescentParser):
+            expected = parse_outcome(text, lang)
+        assert parse_outcome(text, lang) == expected
+
     def test_atoms(self):
         assert parse("p") == letter("p")
         assert parse("T") == top()
@@ -284,6 +443,15 @@ class TestFormula:
         for f in (phi, iff, chain):
             assert (f.depth(), f._size) == tree_shape(f)
         assert chain.depth() == phi.depth() + length
+
+        # The renderer against the recursive printers, and on the chain.
+        for f in (phi, iff):
+            assert print_formula(f) == oracle_print(f)
+            if lang == INT:
+                assert star_translate(f) == oracle_star(f)
+        assert isinstance(print_formula(chain), str)
+        if lang == INT:
+            assert isinstance(star_translate(chain), str)
 
 
 class TestPrinter:
