@@ -157,60 +157,51 @@ def _compile(
     Instruction i computes slot i as (op, a, b): ("letter", name, None),
     ("top"|"bottom", None, None), ("and"|"or"|"imp", slot, slot), or
     ("all"|"some", slot, "r"|"s"), naming the frame relation to quantify
-    over.  `~ A` compiles as `A -> F`.  The walk is iterative, finishes
-    each formula before the next, and visits each node object once;
-    structurally equal subtrees, within a formula or across the pool, share
-    one slot, keyed by the instruction.  The program does not depend on the
-    frame, so it is cached per pool; the cache is bounded because it keeps
-    its formulas alive.
+    over.  `~ A` compiles as `A -> F`.  The walk is iterative, one visit per
+    stack entry: (node, None) pushes (node, node.args), which emits the node,
+    then the node's arguments in order, so the last compiles first.  Each
+    formula is finished before the next and each node object compiled once;
+    equal subtrees, within a formula or across the pool, share one slot,
+    keyed by the instruction, and the program is the keys in slot order.
+    The program does not depend on the frame, so it is cached per pool; the
+    cache is bounded because it keeps its formulas alive.
     """
-    program: list[tuple] = []
     slots: dict[tuple, int] = {}
     done: dict[int, int] = {}  # id(node) -> slot
-    letters = set()
-
-    def emit(*instruction) -> int:
-        slot = slots.get(instruction)
-        if slot is None:
-            slot = slots[instruction] = len(program)
-            program.append(instruction)
-        return slot
-
-    stack = list(reversed(formulas))
+    stack: list = [(phi, None) for phi in reversed(formulas)]
     while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
+        node, args = stack.pop()
+        if args is None:
+            if id(node) not in done:
+                stack.append((node, node.args))
+                for arg in node.args:
+                    stack.append((arg, None))
             continue
-        pending = [arg for arg in node.args if id(arg) not in done]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
         kind = node.kind
-        args = [done[id(arg)] for arg in node.args]
         if kind == "letter":
-            letters.add(node.name)
-            slot = emit("letter", node.name, None)
-        elif kind in ("top", "bottom"):
-            slot = emit(kind, None, None)
+            slot = slots.setdefault(("letter", node.name, None), len(slots))
+        elif kind == "top" or kind == "bottom":
+            slot = slots.setdefault((kind, None, None), len(slots))
         else:
-            if kind == "not":
-                kind = "implies"
-                args.append(emit("bottom", None, None))
-            ops = _OPS[node.lang]
-            if kind not in ops:
+            compiled = _OPS[node.lang].get("implies" if kind == "not" else kind)
+            if compiled is None:
                 raise ValueError(f"cannot evaluate formula kind {kind!r} on this frame")
-            op, rel = ops[kind]
-            if op in ("all", "some"):
-                slot = emit(op, args[0], rel)
+            op, rel = compiled
+            a = done[id(args[0])]
+            if op == "all" or op == "some":
+                slot = slots.setdefault((op, a, rel), len(slots))
             else:
-                slot = emit(op, *args)
+                if kind == "not":
+                    b = slots.setdefault(("bottom", None, None), len(slots))
+                else:
+                    b = done[id(args[1])]
+                slot = slots.setdefault((op, a, b), len(slots))
                 if rel is not None:
-                    slot = emit("all", slot, rel)
+                    slot = slots.setdefault(("all", slot, rel), len(slots))
         done[id(node)] = slot
     roots = tuple(done[id(phi)] for phi in formulas)
-    return tuple(program), roots, tuple(sorted(letters))
+    letters = sorted(name for op, name, _ in slots if op == "letter")
+    return tuple(slots), roots, tuple(letters)
 
 
 @lru_cache(maxsize=4096)

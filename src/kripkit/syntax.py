@@ -70,7 +70,7 @@ class LanguageError(ParseError):
     """A connective that does not belong to the requested language."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Formula:
     """Immutable formula node.
 
@@ -79,14 +79,13 @@ class Formula:
     language-specific connectives (`exists` for "int", `box` for "modal")
     are rejected outside their language.
 
-    Each node computes its structural hash, its connective depth and its
-    size once, at construction, from its children's cached values, so `hash`
-    and `depth` take constant time and formulas can key caches.  The size
-    counts nodes as a tree: a subtree that `<->` shares counts once per
-    occurrence.  Construction sets no limit; `parse` enforces MAX_NESTING
+    One constructor call builds a node: it checks the node and computes its
+    structural hash, depth and size from its children's cached values, so
+    `hash` and `depth` take constant time and formulas can key caches.  The
+    size counts nodes as a tree (a subtree that `<->` shares counts once per
+    occurrence).  Construction sets no limit; `parse` enforces MAX_NESTING
     and MAX_SIZE from these fields.  Equality is structural; it and the tree
-    walks below use an explicit stack, so arbitrarily deep formulas built in
-    Python are safe.
+    walks below use an explicit stack, so any depth built in Python is safe.
     """
 
     lang: str
@@ -97,32 +96,36 @@ class Formula:
     _depth: int = field(init=False, repr=False, compare=False)
     _size: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.lang not in (INT, MODAL):
-            raise ValueError(f"unknown language tag {self.lang!r}")
-        arity = _ARITY.get(self.kind)
+    def __init__(self, lang: str, kind: str, name: str = "", args: tuple["Formula", ...] = ()):
+        if lang not in (INT, MODAL):
+            raise ValueError(f"unknown language tag {lang!r}")
+        arity = _ARITY.get(kind)
         if arity is None:
-            raise ValueError(f"unknown formula kind {self.kind!r}")
-        if len(self.args) != arity:
-            raise ValueError(f"{self.kind} expects {arity} arguments, got {len(self.args)}")
-        if self.kind == "letter":
-            if not _NAME_RE.match(self.name) or self.name in _KEYWORDS:
-                raise ValueError(f"bad letter name {self.name!r}")
-        elif self.name:
-            raise ValueError(f"{self.kind} does not take a name")
-        only = _ONLY_IN.get(self.kind, self.lang)
-        if only != self.lang:
-            raise ValueError(f"{self.kind!r} belongs to the {_LANG_NAME[only][1]} language")
+            raise ValueError(f"unknown formula kind {kind!r}")
+        if len(args) != arity:
+            raise ValueError(f"{kind} expects {arity} arguments, got {len(args)}")
+        if kind == "letter":
+            if not _NAME_RE.match(name) or name in _KEYWORDS:
+                raise ValueError(f"bad letter name {name!r}")
+        elif name:
+            raise ValueError(f"{kind} does not take a name")
+        only = _ONLY_IN.get(kind, lang)
+        if only != lang:
+            raise ValueError(f"{kind!r} belongs to the {_LANG_NAME[only][1]} language")
         depth, size = 0, 1
-        for arg in self.args:
-            if arg.lang != self.lang:
+        for arg in args:
+            if arg.lang != lang:
                 raise ValueError("mixed-language formula")
             if arg._depth >= depth:
                 depth = arg._depth + 1
             size += arg._size
-        object.__setattr__(self, "_hash", hash((self.lang, self.kind, self.name, self.args)))
-        object.__setattr__(self, "_depth", depth)
-        object.__setattr__(self, "_size", size)
+        _set_lang(self, lang)
+        _set_kind(self, kind)
+        _set_name(self, name)
+        _set_args(self, args)
+        _set_hash(self, hash((lang, kind, name, args)))
+        _set_depth(self, depth)
+        _set_size(self, size)
 
     def __hash__(self) -> int:
         return self._hash
@@ -158,6 +161,12 @@ class Formula:
 
     def __str__(self) -> str:
         return print_formula(self)
+
+
+# Formula's slot setters, in field order; they bypass the frozen __setattr__.
+_set_lang, _set_kind, _set_name, _set_args, _set_hash, _set_depth, _set_size = (
+    getattr(Formula, slot).__set__ for slot in Formula.__slots__
+)
 
 
 def letter(name: str, lang: str = INT) -> Formula:

@@ -585,16 +585,91 @@ def merged_programs(formulas):
     return tuple(program), tuple(roots), tuple(sorted(letters))
 
 
+def oracle_compile(formulas):
+    """The walk `_compile` made before it had one visit per stack entry: a
+    node stays on the stack until no argument is pending, and `emit` adds
+    each new instruction to the program."""
+    program: list[tuple] = []
+    slots: dict[tuple, int] = {}
+    done: dict[int, int] = {}  # id(node) -> slot
+    letters = set()
+
+    def emit(*instruction) -> int:
+        slot = slots.get(instruction)
+        if slot is None:
+            slot = slots[instruction] = len(program)
+            program.append(instruction)
+        return slot
+
+    stack = list(reversed(formulas))
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        pending = [arg for arg in node.args if id(arg) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        kind = node.kind
+        args = [done[id(arg)] for arg in node.args]
+        if kind == "letter":
+            letters.add(node.name)
+            slot = emit("letter", node.name, None)
+        elif kind in ("top", "bottom"):
+            slot = emit(kind, None, None)
+        else:
+            if kind == "not":
+                kind = "implies"
+                args.append(emit("bottom", None, None))
+            op, rel = semantics._OPS[node.lang][kind]
+            if op in ("all", "some"):
+                slot = emit(op, args[0], rel)
+            else:
+                slot = emit(op, *args)
+                if rel is not None:
+                    slot = emit("all", slot, rel)
+        done[id(node)] = slot
+    roots = tuple(done[id(phi)] for phi in formulas)
+    return tuple(program), roots, tuple(sorted(letters))
+
+
 def test_compile_matches_the_merge_on_the_translation_pools():
     for pool in TRANSLATION_POOLS.values():
-        assert semantics._compile(tuple(pool)) == merged_programs(pool)
+        compiled = semantics._compile(tuple(pool))
+        assert compiled == merged_programs(pool) == oracle_compile(tuple(pool))
 
 
 @settings(max_examples=100, deadline=None)
 @given(lang=st.sampled_from((INT, MODAL)), drawn=DRAWN, picks=PICKS)
 def test_compile_matches_the_merge_on_drawn_pools(lang, drawn, picks):
     pool = drawn_pool(lang, drawn, picks)
-    assert semantics._compile(pool) == merged_programs(pool)
+    assert semantics._compile(pool) == merged_programs(pool) == oracle_compile(pool)
+
+
+def test_compile_matches_the_oracle_walk():
+    # 500 seeded draws, each alone and as one pool per language; pools that
+    # repeat objects, hold equal but distinct formulas and share an object
+    # within one formula; chains 5,000 deep, out of reach of recursion.
+    draws = {INT: [], MODAL: []}
+    for seed in range(500):
+        lang = (INT, MODAL)[seed % 2]
+        letters = POOL_LETTERS[seed // 2 % len(POOL_LETTERS)]
+        draws[lang].append(random_formula(random.Random(seed), letters, seed % 7, lang))
+    pools = [(phi,) for pool in draws.values() for phi in pool]
+    pools += [tuple(pool) for pool in draws.values()]
+    text = "forall((p -> forall p) -> forall p) -> forall p"
+    a, b = parse(text), parse(text)
+    twins = (a, b, a, disj(a, a), disj(a, b), a.args[1], b.args[0], neg(a), neg(b))
+    pools += [twins, tuple(map(godel_translate, twins)), twins[::-1]]
+    deep = {lang: letter("p", lang) for lang in (INT, MODAL)}
+    for _ in range(5000):
+        deep = {lang: neg(phi) for lang, phi in deep.items()}
+    for phi in deep.values():
+        pools += [(phi,), (phi, neg(phi), implies(phi, phi.args[0]))]
+    for pool in pools:
+        assert semantics._compile.__wrapped__(pool) == oracle_compile(pool)
 
 
 CACHE_POOL = {

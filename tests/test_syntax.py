@@ -1,5 +1,8 @@
 """Formula layer: parser, printer, translations, corpus."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from unittest import mock
 
@@ -77,6 +80,35 @@ def tree_shape(phi: Formula) -> tuple[int, int]:
         depth = max(depth, level)
         stack.extend((arg, level + 1) for arg in node.args)
     return depth, size
+
+
+def oracle_construct(lang, kind, name, args) -> tuple[int, int, int]:
+    """The checks `Formula.__post_init__` made before the class had one
+    hand-written constructor, in its order and with its messages; returns
+    the node's (hash, depth, size)."""
+    if lang not in (INT, MODAL):
+        raise ValueError(f"unknown language tag {lang!r}")
+    arity = syntax._ARITY.get(kind)
+    if arity is None:
+        raise ValueError(f"unknown formula kind {kind!r}")
+    if len(args) != arity:
+        raise ValueError(f"{kind} expects {arity} arguments, got {len(args)}")
+    if kind == "letter":
+        if not syntax._NAME_RE.match(name) or name in syntax._KEYWORDS:
+            raise ValueError(f"bad letter name {name!r}")
+    elif name:
+        raise ValueError(f"{kind} does not take a name")
+    only = syntax._ONLY_IN.get(kind, lang)
+    if only != lang:
+        raise ValueError(f"{kind!r} belongs to the {syntax._LANG_NAME[only][1]} language")
+    depth, size = 0, 1
+    for arg in args:
+        if arg.lang != lang:
+            raise ValueError("mixed-language formula")
+        if arg._depth >= depth:
+            depth = arg._depth + 1
+        size += arg._size
+    return hash((lang, kind, name, args)), depth, size
 
 
 class _DescentParser(syntax._Parser):
@@ -378,6 +410,58 @@ class TestFormula:
     def test_rejects_mixed_languages(self):
         with pytest.raises(ValueError):
             conj(letter("p", INT), letter("q", MODAL))
+
+    def test_constructor_matches_the_oracle(self):
+        # Every input either builds the same node or raises the same error.
+        pieces = (
+            letter("q"),
+            letter("q", MODAL),
+            parse("~(p & exists q)"),
+            parse("box(p -> q) | forall p", MODAL),
+        )
+        arg_grid = [()] + [(a,) for a in pieces] + [(a, b) for a in pieces for b in pieces]
+        arg_grid += [pieces[:1] * 3, pieces[1:2] * 3, pieces[:2] + pieces[:1]]
+        kinds = list(syntax._ARITY) + ["iff", "bogus"]
+        outcomes = set()
+        for lang in (INT, MODAL, "x"):
+            for kind in kinds:
+                for name in ("", "p", "p1_x", "box", "P", "1p"):
+                    for args in arg_grid:
+                        try:
+                            expected = oracle_construct(lang, kind, name, args)
+                        except ValueError as exc:
+                            expected = str(exc)
+                        try:
+                            phi = Formula(lang, kind, name, args)
+                        except Exception as exc:
+                            assert type(exc) is ValueError and str(exc) == expected
+                            outcomes.add("raised")
+                            continue
+                        assert (phi.lang, phi.kind, phi.name, phi.args) == (lang, kind, name, args)
+                        assert (phi._hash, phi._depth, phi._size) == expected
+                        outcomes.add("built")
+        assert outcomes == {"raised", "built"}
+
+    def test_frozen_copies_and_replace(self):
+        phi = parse("forall(p -> exists q) & ~ p")
+        for field in dataclasses.fields(Formula):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(phi, field.name, getattr(phi, field.name))
+        for f in (phi, letter("p"), top(MODAL)):
+            clones = (
+                copy.copy(f),
+                copy.deepcopy(f),
+                pickle.loads(pickle.dumps(f)),
+                dataclasses.replace(f),
+            )
+            for clone in clones:
+                assert clone == f
+                assert (clone._hash, clone._depth, clone._size) == (f._hash, f._depth, f._size)
+        assert dataclasses.replace(letter("p"), name="q") == letter("q")
+        with pytest.raises(ValueError, match="bad letter name 'P'"):
+            dataclasses.replace(letter("p"), name="P")
+        with pytest.raises(ValueError, match="_hash"):
+            dataclasses.replace(phi, _hash=0)
 
     def test_letters_sorted_distinct(self):
         assert parse("q & p | q & r").letters() == ("p", "q", "r")
