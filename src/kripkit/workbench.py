@@ -12,6 +12,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from . import semantics, syntax
@@ -100,6 +101,16 @@ def translation_formulas() -> list[syntax.Formula]:
     rng = random.Random(RANDOM_FORMULA_SEED)
     pool.extend(syntax.random_formula(rng, ("p", "q"), 4) for _ in range(RANDOM_FORMULA_COUNT))
     return pool
+
+
+@cache
+def _translation_pools() -> tuple[tuple[syntax.Formula, ...], tuple[syntax.Formula, ...]]:
+    """The translation pool and its Godel translations, built once per
+    process: every run passes `semantics.validities` the same two tuples,
+    which its program cache finds by identity rather than by comparing
+    formulas."""
+    pool = tuple(translation_formulas())
+    return pool, tuple(syntax.godel_translate(phi) for phi in pool)
 
 
 def _enumerate(kind: str, bound: int, *filters: str):
@@ -210,18 +221,27 @@ def _run_e_eqe(bound: int) -> tuple[int, list[str]]:
     return instances, failures
 
 
+def _quotient_key(quotient) -> tuple:
+    """What a search on a quotient reads of it: its relation rows.  Frames
+    of one relation shape get different point names, so they are not equal
+    as frames; a row tuple also keeps no `Relation` alive."""
+    return quotient.r.rows, quotient.s.rows
+
+
 def _run_translation(bound: int) -> tuple[int, list[str]]:
-    # Built once: every frame passes `semantics.validities` the same tuples,
-    # which its pool cache finds by identity.
-    pool = tuple(translation_formulas())
-    images = tuple(syntax.godel_translate(phi) for phi in pool)
+    pool, images = _translation_pools()
+    # Each distinct quotient is decided once per run, keyed by its rows
+    # (`_quotient_key`), since quotients of one shape differ in point names.
+    decided: dict[tuple, tuple[bool, ...]] = {}
     instances = 0
     failures = []
     for frame in _enumerate("ms4", bound):
         quotient, _ = skeleton(frame)
-        answers = zip(
-            pool, semantics.validities(quotient, pool), semantics.validities(frame, images)
-        )
+        key = _quotient_key(quotient)
+        on_quotient = decided.get(key)
+        if on_quotient is None:
+            on_quotient = decided[key] = semantics.validities(quotient, pool)
+        answers = zip(pool, on_quotient, semantics.validities(frame, images))
         for phi, direct, translated in answers:
             instances += 1
             if direct != translated:
@@ -259,12 +279,25 @@ def _run_sigma_functor(bound: int) -> tuple[int, list[str]]:
 
 def _run_lifting(bound: int) -> tuple[int, list[str]]:
     targets = _enumerate("int", min(3, bound), "m_plus")
+    # Each distinct quotient is searched once per run, keyed by its rows
+    # (`_quotient_key`): per target, the image tuples of its reductions.
+    # Every reduction is still rebuilt on its own quotient, then lifted and
+    # checked.
+    found: dict[tuple, tuple[tuple[tuple[int, ...], ...], ...]] = {}
     instances = 0
     failures = []
     for modal in _enumerate("ms4", bound):
         quotient, projection = skeleton(modal)
-        for target in targets:
-            for f in enumerate_reductions(quotient, target):
+        key = _quotient_key(quotient)
+        per_target = found.get(key)
+        if per_target is None:
+            per_target = found[key] = tuple(
+                tuple(f.image for f in enumerate_reductions(quotient, target))
+                for target in targets
+            )
+        for target, images in zip(targets, per_target):
+            for image in images:
+                f = FrameMap(quotient, target, image)
                 instances += 1
                 try:
                     lift_reduction(projection, f)

@@ -488,6 +488,53 @@ def test_validities_match_countermodel_on_drawn_pools(frame, drawn, picks):
     assert tuple(frame_validates(frame, phi) for phi in pool) == expected
 
 
+# Pools over three letters, and 4-point frames, have more than the 64
+# valuations of the first block, so their formulas are refuted in different
+# blocks and the later blocks run sliced programs.
+FOUR_POINT_FRAMES = [
+    frame
+    for kind in ("int", "ms4")
+    for frame in enumerate_frames(EnumerationConfig(kind, 4))
+    if frame.n == 4
+]
+
+
+def test_validities_match_countermodel_across_blocks():
+    rng = random.Random(17)
+    cases = [(frame, ("p", "q", "r")) for frame in SMALL_FRAMES]
+    cases += [(frame, ("p", "q")) for frame in FOUR_POINT_FRAMES]
+    for frame, letters in cases:
+        lang = INT if isinstance(frame, IntFrame) else MODAL
+        pool = [random_formula(rng, letters, 3, lang) for _ in range(8)]
+        assert validities(frame, pool) == _one_by_one(frame, pool)
+
+
+def test_validities_slice_the_program_between_blocks(monkeypatch):
+    # Three letters on a 3-point frame: 512 valuations, in blocks of 64, 256
+    # and 192.  Valuation v of the pool gives p the v // 64-th subset, so
+    # `q | r` fails in the first block (v = 0), `~ p` in the second
+    # (p = {z}, v = 64) and `~ box p` only in the third (p = {x, y, z},
+    # v = 448), each with the other letters empty.
+    frame = MS4Frame(("x", "y", "z"), Relation.total(3), Relation.total(3))
+    texts = ("box p -> p", "q | r", "~ p", "~ box p")
+    pool = [parse(text, MODAL) for text in texts]
+    firsts = [dict(countermodel(frame, phi).valuation.masks) for phi in pool[1:]]
+    assert firsts == [{"q": 0, "r": 0}, {"p": 0b100}, {"p": 0b111}]
+    assert _one_by_one(frame, pool) == (True, False, False, False)
+    lengths = []
+    run = semantics._run
+
+    def counted(program, *args):
+        lengths.append(len(program))
+        return run(program, *args)
+
+    monkeypatch.setattr(semantics, "_run", counted)
+    assert validities(frame, pool) == (True, False, False, False)
+    # Each block after a refutation runs a shorter program.
+    assert len(lengths) == 3
+    assert lengths[0] > lengths[1] > lengths[2]
+
+
 class TestValiditiesContract:
     def test_empty_pool(self, two_point_frame):
         assert validities(two_point_frame, []) == ()

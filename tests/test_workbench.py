@@ -24,7 +24,8 @@ from kripkit.frames import (
     frame_to_json_dict,
     validate_int_frame,
 )
-from kripkit.functors import sigma
+from kripkit.functors import sigma, skeleton
+from kripkit.semantics import validities
 from kripkit.syntax import corpus, godel_translate, parse, print_formula, star_translate
 from kripkit.workbench import (
     EXPERIMENTS,
@@ -155,6 +156,51 @@ def test_translation_bound_4_fingerprint_is_unchanged():
     assert report.instances == 52920
     digest = hashlib.sha256(report.fingerprint().encode()).hexdigest()
     assert digest == TRANSLATION_BOUND_4_SHA256
+
+
+def translation_frame_by_frame(pool, images, bound: int) -> tuple[int, list[str]]:
+    """The translation experiment's loop as it was before it decided each
+    distinct quotient once: both pools are decided on every frame and on
+    its own quotient."""
+    instances = 0
+    failures = []
+    for frame in enumerate_frames(EnumerationConfig("ms4", bound)):
+        quotient, _ = skeleton(frame)
+        answers = zip(pool, validities(quotient, pool), validities(frame, images))
+        for phi, direct, translated in answers:
+            instances += 1
+            if direct != translated:
+                failures.append(
+                    f"{workbench._frame_label(frame)}: {print_formula(phi)}: "
+                    f"quotient={direct} translated={translated}"
+                )
+    return instances, failures
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_translation_matches_the_frame_by_frame_loop(monkeypatch, shift):
+    # Shift 1 pairs each formula with the next one's translation, so most
+    # instances fail and every frame's answers show in the failure list.
+    pool = tuple(translation_formulas())
+    images = tuple(godel_translate(phi) for phi in pool[shift:] + pool[:shift])
+    monkeypatch.setattr(workbench, "_translation_pools", lambda: (pool, images))
+    instances, failures = translation_frame_by_frame(pool, images, 3)
+    assert (shift == 0) == (not failures)
+    experiment = EXPERIMENTS["translation"]
+    oracle = ExperimentReport(experiment.id, experiment.anchor, instances, tuple(failures), 0)
+    # Compared as a flag: pytest's diff of two long fingerprints takes minutes.
+    same = run_experiment("translation", 3).fingerprint() == oracle.fingerprint()
+    assert same, "the experiment and the frame-by-frame loop report differently"
+
+
+def test_translation_pools_are_built_once():
+    pool, images = workbench._translation_pools()
+    again = workbench._translation_pools()
+    assert again[0] is pool and again[1] is images
+    # The public pool is still a fresh list per call.
+    assert list(pool) == translation_formulas()
+    assert translation_formulas() is not translation_formulas()
+    assert images == tuple(godel_translate(phi) for phi in pool)
 
 
 def test_reports_are_byte_reproducible(default_reports):
