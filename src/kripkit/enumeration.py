@@ -184,6 +184,11 @@ def _relabelings(n: int) -> tuple:
     return tuple(out)
 
 
+def _least(rows: tuple[int, ...], relabelings) -> bytes:
+    """The least encoding of `rows` over `relabelings`' (pick, table) pairs."""
+    return min([bytes(pick(rows)).translate(table) for pick, table in relabelings])
+
+
 def canonical_form(frame) -> bytes:
     """Isomorphism-invariant key: kind, size, and the minimum over all point
     relabelings of the packed relation rows.  Byte `a` after the size (and
@@ -192,8 +197,7 @@ def canonical_form(frame) -> bytes:
     n = frame.n
     if n > CANONICAL_MAX:
         raise BoundExceeded(f"canonical form capped at {CANONICAL_MAX} points")
-    rows = frame.r.rows + frame.s.rows
-    encoding = min(bytes(pick(rows)).translate(table) for pick, table in _relabelings(n))
+    encoding = _least(frame.r.rows + frame.s.rows, _relabelings(n))
     return _KIND_BYTE[frame.kind] + bytes([n]) + encoding
 
 
@@ -219,10 +223,7 @@ def _order_classes(n: int, with_clusters: bool) -> tuple:
         for ext in _extensions(rel, with_clusters):
             # The rows given twice, as both relations: the first n bytes of
             # the least relabeling are the order's own canonical rows.
-            rows = ext.rows * 2
-            keys.add(
-                min([bytes(pick(rows)).translate(table) for pick, table in relabelings])
-            )
+            keys.add(_least(ext.rows * 2, relabelings))
     return tuple(
         (
             Relation(n, tuple(key[:n])),
@@ -251,10 +252,8 @@ def _classes(kind: str, n: int) -> tuple:
         for e in eqs:
             if not commuting(r, e):
                 continue
-            rows = r.rows + (qe(r, e) if kind == "int" else e).rows
-            keys.add(
-                min(bytes(pick(rows)).translate(table) for pick, table in automorphisms)
-            )
+            second = qe(r, e) if kind == "int" else e
+            keys.add(_least(r.rows + second.rows, automorphisms))
     return tuple(_from_key(kind, prefix + key) for key in sorted(keys))
 
 

@@ -12,14 +12,11 @@ each slot holds one int per point whose bit v says whether the subformula
 holds there under valuation v of the current block (bit-slicing over the
 valuation space).  Connectives are bitwise operations, and the modalities
 and the intuitionistic implication AND (or, for `exists`, OR) rows over the
-relevant relation.  Blocks follow the search order and grow from 64
-valuations to a fixed width, so a search stops soon after its first
-refutation; within a block the lowest failing valuation and then its lowest
-failing point are reported, which is the first countermodel above.  The
-first block is 64 wide because the evaluator pays per instruction and per
-point, and a 64-bit int costs about what a 16-bit one does: every frame of
-at most 64 valuations (two letters on three points) is decided in one block.
-`truth_set` runs the same evaluator on a block of one valuation.
+relevant relation.  Blocks follow the search order and grow from one
+machine word of valuations to a fixed width, so a search stops soon after
+its first refutation; within a block the lowest failing valuation and then
+its lowest failing point are reported, which is the first countermodel
+above.  `truth_set` runs the same evaluator on a block of one valuation.
 
 Validity needs a yes or no, not a first countermodel, so `validities`
 decides a whole pool of formulas in one pass.  A formula reads only its own
@@ -27,10 +24,11 @@ letters, so it is valid iff it holds under every valuation of any larger set
 of letters; the pool is compiled into one program, with shared slots and
 one root per formula, and run over the valuations of the pool's letters
 until every root is refuted or the space is exhausted.  Once a block has
-refuted some roots, the next blocks run only the instructions that the
-still-holding roots read (`_slice`), renumbered into a shorter program.
-`frame_validates` is its one-formula case; `countermodel` still reports the
-first countermodel of one formula.
+refuted some formulas, the formulas still holding are compiled as a pool of
+their own and the next blocks run that shorter program; `_compile` caches
+one program per set of survivors, so frames that refute the same formulas
+share it.  `frame_validates` is its one-formula case; `countermodel` still
+reports the first countermodel of one formula.
 
 Nothing is rebuilt per call.  The program names its relations "r" and "s"
 rather than holding them, so one compiler, `_compile`, serves every caller
@@ -56,7 +54,10 @@ POINT_CAP = 6
 VALUATION_BUDGET = 1 << 20
 # Valuations evaluated together: blocks start at one machine word, so a
 # formula refuted early stops early, and grow to a fixed width, which bounds
-# memory.
+# memory.  The first block is 64 wide because `_run` pays per instruction and
+# per point, and a 64-bit int costs about what a 16-bit one does: every frame
+# of at most 64 valuations (two letters on three points) is decided in one
+# block.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1 << 12
 
@@ -151,11 +152,6 @@ _OPS = {
         "forall": ("all", "s"),
     },
 }
-
-
-# Instructions whose first operand is a slot, and those whose second is too.
-_SLOT_OPERANDS = frozenset({"and", "or", "imp", "all", "some"})
-_BINARY = frozenset({"and", "or", "imp"})
 
 
 @lru_cache(maxsize=512)
@@ -373,10 +369,9 @@ def _blocks(letters, periods, rows, total: int):
     """The valuations 0 .. total-1 in search order, block by block: yields
     (base, full, inputs), where bit v of the block is valuation base + v,
     `full` has every bit of the block set and `inputs` holds each letter's
-    rows for `_run`.  Blocks grow from _FIRST_BLOCK, 64 because `_run` costs
-    about the same per instruction and point for 64 bits as for 16, to
-    _MAX_BLOCK.  Widths never change the first countermodel: each block
-    reports its lowest failing valuation."""
+    rows for `_run`.  Blocks grow from _FIRST_BLOCK to _MAX_BLOCK.  Widths
+    never change the first countermodel: each block reports its lowest
+    failing valuation."""
     base, width = 0, _FIRST_BLOCK
     while base < total:
         width = min(width, total - base)
@@ -427,33 +422,6 @@ def countermodel(
     return None
 
 
-def _slice(program, roots) -> tuple[tuple[tuple, ...], dict[int, int]]:
-    """The instructions that the slots `roots` read, directly or not, as a
-    program of their own: (program, old slot -> new slot).  Kept
-    instructions stay in order, so the slice is postorder too."""
-    needed = [False] * len(program)
-    for root in roots:
-        needed[root] = True
-    for slot in range(len(program) - 1, -1, -1):
-        if needed[slot]:
-            op, a, b = program[slot]
-            if op in _SLOT_OPERANDS:
-                needed[a] = True
-                if op in _BINARY:
-                    needed[b] = True
-    renumber: dict[int, int] = {}
-    sliced = []
-    for slot, (op, a, b) in enumerate(program):
-        if needed[slot]:
-            if op in _BINARY:
-                a, b = renumber[a], renumber[b]
-            elif op in _SLOT_OPERANDS:
-                a = renumber[a]
-            renumber[slot] = len(sliced)
-            sliced.append((op, a, b))
-    return tuple(sliced), renumber
-
-
 def validities(
     frame,
     formulas,
@@ -466,9 +434,11 @@ def validities(
     One program runs over the valuations of the pool's letters, so the
     letter cap and VALUATION_BUDGET apply to the pool, not to each formula;
     everything is checked, and BoundExceeded or ValueError raised, before
-    any valuation is evaluated.  After the first block, each block runs
-    only the instructions that the formulas not yet refuted read, and the
-    search stops once every formula is refuted.
+    any valuation is evaluated.  After a block refutes some formulas, the
+    next blocks run `_compile`'s cached program for the formulas still
+    holding, in pool order, on the pool's valuations and letter rows; the
+    search stops once every formula is refuted.  Equal formulas share a
+    root, so they get the same answer.
     """
     formulas = tuple(formulas)
     for phi in formulas:
@@ -478,22 +448,17 @@ def validities(
     _, total, _, periods, rows = _checked_layout(frame, letters, letter_cap, point_cap, subject)
     relations = _relations(frame)
     n = frame.n
-    # Each still-holding root's slot in the program being run, and how many
-    # roots that program was cut for.
-    holding = {root: root for root in roots}
-    served = len(holding)
+    # The pool positions not yet refuted, and their roots in `program`.
+    holding, slots = range(len(formulas)), roots
     for _, full, inputs in _blocks(letters, periods, rows, total):
-        if len(holding) < served:
-            program, renumber = _slice(program, holding.values())
-            holding = {root: renumber[slot] for root, slot in holding.items()}
-            served = len(holding)
+        if len(slots) > len(holding):
+            program, slots, _ = _compile(tuple(formulas[i] for i in holding))
         values = _run(program, relations, n, inputs, full)
-        holding = {
-            root: slot for root, slot in holding.items() if values[slot].count(full) == n
-        }
+        holding = [i for i, slot in zip(holding, slots) if values[slot].count(full) == n]
         if not holding:
             break
-    return tuple([root in holding for root in roots])
+    held = set(holding)
+    return tuple([i in held for i in range(len(formulas))])
 
 
 def frame_validates(

@@ -452,8 +452,19 @@ TRANSLATION_POOLS = {INT: translation_formulas()}
 TRANSLATION_POOLS[MODAL] = [godel_translate(phi) for phi in TRANSLATION_POOLS[INT]]
 
 
+# Pools over three letters, and 4-point frames, have more than the 64
+# valuations of the first block, so their formulas are refuted in different
+# blocks and the later blocks run the programs of the formulas still holding.
+FOUR_POINT_FRAMES = [
+    frame
+    for kind in ("int", "ms4")
+    for frame in enumerate_frames(EnumerationConfig(kind, 4))
+    if frame.n == 4
+]
+
+
 def test_validities_match_countermodel_on_the_translation_pools():
-    for frame in SMALL_FRAMES:
+    for frame in SMALL_FRAMES + FOUR_POINT_FRAMES[::40]:
         pool = TRANSLATION_POOLS[INT if isinstance(frame, IntFrame) else MODAL]
         assert validities(frame, pool) == _one_by_one(frame, pool)
 
@@ -480,23 +491,12 @@ def drawn_pool(lang, drawn, picks) -> tuple:
 
 
 @settings(max_examples=100, deadline=None)
-@given(frame=st.sampled_from(SMALL_FRAMES), drawn=DRAWN, picks=PICKS)
+@given(frame=st.sampled_from(SMALL_FRAMES + FOUR_POINT_FRAMES), drawn=DRAWN, picks=PICKS)
 def test_validities_match_countermodel_on_drawn_pools(frame, drawn, picks):
     pool = drawn_pool(INT if isinstance(frame, IntFrame) else MODAL, drawn, picks)
     expected = _one_by_one(frame, pool)
     assert validities(frame, pool) == expected
     assert tuple(frame_validates(frame, phi) for phi in pool) == expected
-
-
-# Pools over three letters, and 4-point frames, have more than the 64
-# valuations of the first block, so their formulas are refuted in different
-# blocks and the later blocks run sliced programs.
-FOUR_POINT_FRAMES = [
-    frame
-    for kind in ("int", "ms4")
-    for frame in enumerate_frames(EnumerationConfig(kind, 4))
-    if frame.n == 4
-]
 
 
 def test_validities_match_countermodel_across_blocks():
@@ -509,7 +509,7 @@ def test_validities_match_countermodel_across_blocks():
         assert validities(frame, pool) == _one_by_one(frame, pool)
 
 
-def test_validities_slice_the_program_between_blocks(monkeypatch):
+def test_validities_recompile_the_survivors_between_blocks(monkeypatch):
     # Three letters on a 3-point frame: 512 valuations, in blocks of 64, 256
     # and 192.  Valuation v of the pool gives p the v // 64-th subset, so
     # `q | r` fails in the first block (v = 0), `~ p` in the second
@@ -521,18 +521,29 @@ def test_validities_slice_the_program_between_blocks(monkeypatch):
     firsts = [dict(countermodel(frame, phi).valuation.masks) for phi in pool[1:]]
     assert firsts == [{"q": 0, "r": 0}, {"p": 0b100}, {"p": 0b111}]
     assert _one_by_one(frame, pool) == (True, False, False, False)
-    lengths = []
+    programs = []
     run = semantics._run
 
-    def counted(program, *args):
-        lengths.append(len(program))
+    def recorded(program, *args):
+        programs.append(program)
         return run(program, *args)
 
-    monkeypatch.setattr(semantics, "_run", counted)
+    monkeypatch.setattr(semantics, "_run", recorded)
     assert validities(frame, pool) == (True, False, False, False)
-    # Each block after a refutation runs a shorter program.
-    assert len(lengths) == 3
-    assert lengths[0] > lengths[1] > lengths[2]
+    # Each block after a refutation runs the cached program of the formulas
+    # still holding, in pool order, which is shorter.
+    assert len(programs) == 3
+    assert len(programs[0]) > len(programs[1]) > len(programs[2])
+    assert programs[1] is semantics._compile((pool[0], pool[2], pool[3]))[0]
+    assert programs[2] is semantics._compile((pool[0], pool[3]))[0]
+    # The pool reads no `forall`, so a frame with another s refutes the same
+    # formulas in the same blocks and compiles nothing new.
+    misses = semantics._compile.cache_info().misses
+    other = MS4Frame(("x", "y", "z"), Relation.total(3), Relation.identity(3))
+    assert validities(other, pool) == (True, False, False, False)
+    assert len(programs) == 6
+    assert programs[3:] == programs[:3]
+    assert semantics._compile.cache_info().misses == misses
 
 
 class TestValiditiesContract:
