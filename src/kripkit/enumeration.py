@@ -1,10 +1,12 @@
 """Frame generation up to isomorphism.
 
-Labeled orders are produced by a one-point-extension recursion: a quasi-order
-on m points extends one on m-1 points either by adding the new point to an
-existing cluster or by inserting it as a fresh singleton between a downset
-and an upset.  Every labeled order arises exactly once.  Equivalences come
-from restricted growth strings.
+Labeled relations grow one point at a time.  A reflexive transitive relation
+on m points restricts to one on m-1 points, and the new point sits above a
+downset D and below an upset U of the restriction with D x U already related;
+every such (D, U) gives exactly one extension.  D & U is empty when the new
+point is a cluster of its own and is a whole cluster when the point joins it,
+so partial orders keep the pairs with D & U empty, quasi-orders keep every
+pair, and equivalences keep D == U (empty, or one class).
 
 Classes are generated without labeled frames.  A frame's canonical key is
 the least relabeling of its first relation's rows followed by its second's
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from . import semantics, syntax
 from .frames import (
@@ -70,98 +72,56 @@ class EnumerationConfig:
                 raise ValueError(f"filter {name!r} does not apply to {self.kind} frames")
 
 
-def _extend_with_cluster_point(rel: Relation, member: int) -> Relation:
-    """New point joins the cluster of `member`: same row plus the mutual
-    pair, same column entries as `member`."""
+def _partial(down: int, up: int) -> bool:
+    """A new point of a partial order is a cluster of its own."""
+    return not down & up
+
+
+def _quasi(down: int, up: int) -> bool:
+    return True
+
+
+def _extensions(rel: Relation, keep):
+    """Every relation on one more point whose restriction to rel's points is
+    rel, with the new point above a downset `down` and below an upset `up`
+    of rel such that keep(down, up), each exactly once."""
     m = rel.n
     new_bit = 1 << m
-    rows = [
-        row | (new_bit if row >> member & 1 else 0) for row in rel.rows
-    ]
-    rows.append(rel.rows[member] | new_bit)
-    return Relation(m + 1, tuple(rows))
-
-
-def _extend_with_singleton(rel: Relation, down: int, up: int) -> Relation:
-    """New point above `down`, below `up`, in a cluster of its own."""
-    m = rel.n
-    new_bit = 1 << m
-    rows = [row | (new_bit if down >> i & 1 else 0) for i, row in enumerate(rel.rows)]
-    rows.append(up | new_bit)
-    return Relation(m + 1, tuple(rows))
-
-
-def _downsets(rel: Relation) -> list[int]:
-    return [m for m in range(1 << rel.n) if rel.preimage(m) & ~m == 0]
-
-
-def _upsets(rel: Relation) -> list[int]:
-    return [m for m in range(1 << rel.n) if rel.image(m) & ~m == 0]
-
-
-def _extensions(rel: Relation, with_clusters: bool):
-    """Every order on one more point whose restriction to rel's points is
-    rel, each exactly once."""
-    if with_clusters:
-        # One extension per existing cluster, keyed by its least member.
-        seen = 0
-        for x in range(rel.n):
-            if seen >> x & 1:
-                continue
-            seen |= rel.rows[x] & rel.preimage(1 << x)
-            yield _extend_with_cluster_point(rel, x)
-    upsets = _upsets(rel)
-    for down in _downsets(rel):
+    upsets = semantics.upsets(rel)
+    for down in semantics.upsets(rel.converse()):
+        # Transitivity through the new point: down x up must be already
+        # related, so up lies above every point of down.
+        above = (1 << m) - 1
+        for x in bits(down):
+            above &= rel.rows[x]
         for up in upsets:
-            if down & up:
+            if up & ~above or not keep(down, up):
                 continue
-            # Transitivity through the new point: down x up must be already
-            # related.
-            if any(up & ~rel.rows[x] for x in bits(down)):
-                continue
-            yield _extend_with_singleton(rel, down, up)
+            rows = [row | new_bit * (down >> i & 1) for i, row in enumerate(rel.rows)]
+            rows.append(up | new_bit)
+            yield Relation(m + 1, tuple(rows))
 
 
-def _orders(n: int, with_clusters: bool) -> list[Relation]:
-    if n == 0:
-        return [Relation(0, ())]
-    return [
-        ext
-        for rel in _orders(n - 1, with_clusters)
-        for ext in _extensions(rel, with_clusters)
-    ]
+def _labeled(n: int, keep) -> list[Relation]:
+    rels = [Relation(0, ())]
+    for _ in range(n):
+        rels = [ext for rel in rels for ext in _extensions(rel, keep)]
+    return rels
 
 
 def partial_orders(n: int) -> list[Relation]:
     """All labeled partial orders on n points, each exactly once."""
-    return _orders(n, with_clusters=False)
+    return _labeled(n, _partial)
 
 
 def quasi_orders(n: int) -> list[Relation]:
     """All labeled quasi-orders (reflexive transitive relations) on n points."""
-    return _orders(n, with_clusters=True)
+    return _labeled(n, _quasi)
 
 
 def equivalences(n: int) -> list[Relation]:
-    """All labeled equivalence relations on n points, via restricted growth
-    strings."""
-    out = []
-
-    def grow(prefix: list[int], used: int) -> None:
-        if len(prefix) == n:
-            classes: dict[int, int] = {}
-            for i, c in enumerate(prefix):
-                classes[c] = classes.get(c, 0) | 1 << i
-            rows = [classes[c] for c in prefix]
-            out.append(Relation(n, tuple(rows)))
-            return
-        for c in range(used + 1):
-            prefix.append(c)
-            grow(prefix, max(used, c + 1))
-            prefix.pop()
-
-    grow([], 0)
-    return out
+    """All labeled equivalence relations on n points, each exactly once."""
+    return _labeled(n, eq)
 
 
 @cache
@@ -219,8 +179,9 @@ def _order_classes(n: int, with_clusters: bool) -> tuple:
         return ((Relation(0, ()), ()),)
     relabelings = _relabelings(n)
     keys = set()
+    keep = _quasi if with_clusters else _partial
     for rel, _ in _order_classes(n - 1, with_clusters):
-        for ext in _extensions(rel, with_clusters):
+        for ext in _extensions(rel, keep):
             # The rows given twice, as both relations: the first n bytes of
             # the least relabeling are the order's own canonical rows.
             keys.add(_least(ext.rows * 2, relabelings))
