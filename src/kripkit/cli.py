@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import syntax
 from .enumeration import EnumerationConfig, enumerate_frames
@@ -170,7 +171,11 @@ def _cmd_experiment(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process, since `main` may be
+    called many times in one.  Parsing leaves it unchanged: argparse copies
+    the `--filter` default before appending to it."""
     parser = argparse.ArgumentParser(
         prog="kripkit",
         description="finite-model workbench for monadic intuitionistic and modal logics",

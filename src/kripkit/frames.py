@@ -430,10 +430,18 @@ def grz_max_check(rel: Relation) -> bool:
     """
     if not rel.is_quasi_order():
         raise ValueError("check needs a quasi-order")
+    rows = rel.rows
     for subset in range(1, 1 << rel.n):
-        upper = rel.preimage(mask_of(max_points(rel, bits(subset))))
-        if subset & ~upper:
-            return False
+        points = bits(subset)
+        # Maximal points of the subset: their only successor in it is
+        # themselves (a quasi-order is reflexive, so that one is there).
+        top = 0
+        for x in points:
+            if rows[x] & subset == 1 << x:
+                top |= 1 << x
+        for x in points:
+            if not rows[x] & top:
+                return False
     return True
 
 

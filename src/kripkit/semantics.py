@@ -35,8 +35,10 @@ rather than holding them, so one compiler, `_compile`, serves every caller
 and caches its program per pool, keyed by the tuple of formulas (a single
 formula is the pool of one); the frame side is cached apart: successor
 lists per relation (`_successors`) and the valuation numbering with its
-letter rows per (kind, order, letter count) (`_layout`).  Every cache is
-bounded.
+letter rows (`_layout`), per (order, letter count) on intuitionistic frames,
+whose letters range over the order's upsets, and per (point count, letter
+count) on modal frames, whose letters range over all subsets.  Every cache
+is bounded.
 """
 
 from __future__ import annotations
@@ -80,8 +82,17 @@ def subsets(n: int) -> list[int]:
 
 
 def upsets(rel: Relation) -> list[int]:
-    """All upset masks of `rel`, in characteristic-vector order."""
-    return [m for m in _characteristic_order(rel.n) if is_upset(rel, m)]
+    """All upset masks of `rel`, in characteristic-vector order: the masks
+    `is_upset` accepts, read off the rows."""
+    rows = rel.rows
+    out = []
+    for mask in _characteristic_order(rel.n):
+        for x in bits(mask):
+            if rows[x] & ~mask:
+                break
+        else:
+            out.append(mask)
+    return out
 
 
 @dataclass(frozen=True)
@@ -332,15 +343,18 @@ def _letter_rows(space: list[int], n: int, stride: int, reach: int) -> list[int]
 
 
 @lru_cache(maxsize=4096)
-def _layout(kind: str, r: Relation, k: int) -> tuple:
-    """How the valuations of `k` letters on a frame of this kind and order
-    are numbered: (space, total, strides, periods, letter rows), all tuples.
+def _layout(n: int, k: int, order: Relation | None) -> tuple:
+    """How the valuations of `k` letters on an n-point frame are numbered:
+    (space, total, strides, periods, letter rows), all tuples.  The space is
+    the upsets of `order` for intuitionistic letters and, with `order` None,
+    all subsets for modal ones, so every n-point modal frame shares one
+    layout per letter count.
 
     Valuation v gives letter i the mask space[v // strides[i] % len(space)]:
     the order of product(space, repeat=k).  Raises BoundExceeded, before
     building any rows, when there are more than VALUATION_BUDGET valuations.
     """
-    space = tuple(upsets(r) if kind == "int" else subsets(r.n))
+    space = tuple(subsets(n) if order is None else upsets(order))
     total = len(space) ** k
     if total > VALUATION_BUDGET:
         raise BoundExceeded(
@@ -349,7 +363,7 @@ def _layout(kind: str, r: Relation, k: int) -> tuple:
     strides = tuple(len(space) ** (k - 1 - i) for i in range(k))
     periods = tuple(len(space) * stride for stride in strides)
     rows = tuple(
-        tuple(_letter_rows(space, r.n, stride, min(total, period + _MAX_BLOCK)))
+        tuple(_letter_rows(space, n, stride, min(total, period + _MAX_BLOCK)))
         for stride, period in zip(strides, periods)
     )
     return space, total, strides, periods, rows
@@ -362,7 +376,7 @@ def _checked_layout(frame, letters, letter_cap: int, point_cap: int, subject: st
         raise BoundExceeded(f"frame has {frame.n} points, cap is {point_cap}")
     if len(letters) > letter_cap:
         raise BoundExceeded(f"{subject} has {len(letters)} letters, cap is {letter_cap}")
-    return _layout(frame.kind, frame.r, len(letters))
+    return _layout(frame.n, len(letters), frame.r if frame.kind == "int" else None)
 
 
 def _blocks(letters, periods, rows, total: int):

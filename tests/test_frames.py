@@ -115,6 +115,19 @@ def converse_oracle(rel: Relation) -> Relation:
     return Relation(rel.n, tuple(rel.preimage(1 << j) for j in range(rel.n)))
 
 
+def grz_max_check_oracle(rel: Relation) -> bool:
+    """The max-point check by its definition: each nonempty subset's
+    maximal points (`max_points`), then the points reaching one of them
+    (`preimage`), per subset."""
+    if not rel.is_quasi_order():
+        raise ValueError("check needs a quasi-order")
+    for subset in range(1, 1 << rel.n):
+        upper = rel.preimage(mask_of(max_points(rel, bits(subset))))
+        if subset & ~upper:
+            return False
+    return True
+
+
 WITNESS_ORACLES = [
     (frames._reflexive_witness, reflexive_witness_oracle),
     (frames._transitive_witness, transitive_witness_oracle),
@@ -474,13 +487,23 @@ class TestMaxPoints:
         assert not grz_max_check(Relation.total(2))
 
     def test_grz_check_requires_quasi_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^check needs a quasi-order$"):
             grz_max_check(Relation.from_pairs(2, [(0, 1)]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_grz_check_is_antisymmetry(self, n):
         for rel in quasi_orders(n):
-            assert grz_max_check(rel) == rel.is_antisymmetric()
+            assert grz_max_check(rel) == grz_max_check_oracle(rel) == rel.is_antisymmetric()
+
+    @given(relations(max_n=6) | small_quasi_orders(max_n=6))
+    def test_grz_check_matches_the_oracle(self, rel):
+        try:
+            expected = grz_max_check_oracle(rel)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                grz_max_check(rel)
+        else:
+            assert grz_max_check(rel) == expected
 
 
 class TestFrameConstruction:

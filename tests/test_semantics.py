@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kripkit import semantics
-from kripkit.enumeration import EnumerationConfig, enumerate_frames
+from kripkit.enumeration import EnumerationConfig, enumerate_frames, partial_orders, quasi_orders
 from kripkit.frames import (
     BoundExceeded,
     IntFrame,
@@ -82,6 +82,11 @@ class TestSubsetOrders:
     def test_is_upset(self, two_point_frame):
         assert is_upset(two_point_frame.r, 0b10)
         assert not is_upset(two_point_frame.r, 0b01)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_upsets_are_the_masks_is_upset_accepts(self, n):
+        for rel in [*quasi_orders(n), *partial_orders(n)]:
+            assert upsets(rel) == [m for m in subsets(n) if is_upset(rel, m)]
 
 
 class TestValuation:
@@ -601,6 +606,21 @@ def test_equal_formulas_share_one_program(two_point_frame):
     assert countermodel(two_point_frame, first) == countermodel(two_point_frame, second)
     info = semantics._compile.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_layouts_are_shared_per_point_count_on_modal_frames_only():
+    # Modal letters range over all subsets, so the order does not decide the
+    # layout; intuitionistic letters range over the order's upsets.
+    names = ("a", "b", "c")
+    chain, antichain = chain_poset(3), Relation.identity(3)
+    _clear_caches()
+    for r in (chain, antichain):
+        assert countermodel(MS4Frame(names, r, antichain), parse("box p -> p", MODAL)) is None
+    assert semantics._layout.cache_info().misses == 1
+    _clear_caches()
+    for r in (chain, antichain):
+        assert countermodel(IntFrame(names, r, r), parse("p -> p")) is None
+    assert semantics._layout.cache_info().misses == 2
 
 
 def test_languages_never_share_a_program(two_point_frame, ms4_chain):

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kripkit import morphisms, workbench
+import kripkit
+from kripkit import cli, morphisms, workbench
 from kripkit.cli import main
 from kripkit.enumeration import FILTERS, EnumerationConfig, enumerate_frames
 from kripkit.frames import (
@@ -508,6 +511,38 @@ def test_cli_usage_errors(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["check-frame", "/no/such/file.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def fresh_process_stdout(argv: list[str]) -> str:
+    """What `kripkit *argv` prints in a new interpreter, which builds its
+    own parser."""
+    src = os.path.dirname(os.path.dirname(kripkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    command = [sys.executable, "-m", "kripkit.cli", *argv]
+    return subprocess.run(command, capture_output=True, text=True, env=env, check=True).stdout
+
+
+def test_cli_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_reused_parser_keeps_nothing_from_earlier_calls(capsys):
+    plain = ["enumerate", "--kind", "int", "--bound", "3"]
+    filtered = [*plain, "--filter", "m_plus"]
+    fresh = fresh_process_stdout(plain)
+    assert main(filtered) == 0
+    assert capsys.readouterr().out == fresh_process_stdout(filtered) != fresh
+    # The filter list of the call above must not be the default of this one.
+    assert main(plain) == 0
+    assert capsys.readouterr().out == fresh
+    assert main(["enumerate", "--kind", "s4"]) == 2
+    capsys.readouterr()
+    assert main(plain) == 0
+    assert capsys.readouterr().out == fresh
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: kripkit")
+    assert main(plain) == 0
+    assert capsys.readouterr().out == fresh
 
 
 def test_cli_grz_finite_bound_is_capped(capsys, monkeypatch):
