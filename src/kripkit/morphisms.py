@@ -22,6 +22,15 @@ the converse q-predecessor condition.  The tables the search reads are built
 once per frame, not per call, and kept in small bounded caches keyed by the
 frame: the source side (forth pairs, loop flags, back schedule,
 q-predecessors) and the target side (rows, converse rows, loop masks).
+
+The search returns image tuples.  `enumerate_morphisms` and
+`enumerate_reductions` wrap them in `FrameMap`s through the slot setters,
+without running the constructor's checks again: the search refuses frames
+of different kinds before it starts, and it builds each image from one
+target index per source point, so every check the constructor makes holds
+by construction.  Every other `FrameMap` goes through the checked
+constructor.
+
 The morphism predicates read relation rows and the converse rows each
 relation keeps once computed; `apply_mask` raises `ValueError` on a mask
 with a bit at or above the source's point count.
@@ -61,23 +70,35 @@ def _image_of(mask: int, image: Sequence[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FrameMap:
-    """Total map between the point sets of two frames of the same kind."""
+    """Total map between the point sets of two frames of the same kind.
+
+    The constructor checks the endpoints' kinds, then that the image has one
+    entry per source point, then each entry: an `int` (not a `bool`) naming
+    a target point.  It stores the image as a tuple, so a list image gives
+    an equal, hashable map.
+    """
 
     source: Frame
     target: Frame
     image: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.source.kind != self.target.kind:
+    def __init__(self, source: Frame, target: Frame, image: Sequence[int]):
+        if source.kind != target.kind:
             raise ValueError("map endpoints must be frames of the same kind")
-        if len(self.image) != self.source.n:
+        image = tuple(image)
+        if len(image) != source.n:
             raise ValueError("map must cover every source point")
-        m = self.target.n
-        if min(self.image) < 0 or max(self.image) >= m:
-            bad = next(value for value in self.image if not 0 <= value < m)
-            raise ValueError(f"image index {bad} out of range")
+        m = target.n
+        for value in image:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"image entries must be int point indices, not {value!r}")
+            if not 0 <= value < m:
+                raise ValueError(f"image index {value} out of range")
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_image(self, image)
 
     def __call__(self, i: int) -> int:
         return self.image[i]
@@ -97,16 +118,40 @@ class FrameMap:
         return "{" + pairs + "}"
 
 
+# FrameMap's slot setters, in field order; they bypass the frozen __setattr__.
+_set_source, _set_target, _set_image = (
+    getattr(FrameMap, slot).__set__ for slot in FrameMap.__slots__
+)
+
+
+def _wrap(source: Frame, target: Frame, images: list[tuple[int, ...]]) -> list[FrameMap]:
+    """FrameMaps for image tuples that `_search` found, stored through the
+    slot setters: the constructor's checks already hold (see above)."""
+    new = object.__new__
+    out = []
+    for image in images:
+        f = new(FrameMap)
+        _set_source(f, source)
+        _set_target(f, target)
+        _set_image(f, image)
+        out.append(f)
+    return out
+
+
+def _rows_match(source_rows, target_rows, image: Sequence[int]) -> bool:
+    """Back-and-forth for one relation given by its rows: the target row of
+    image[x] is the image of the source row of x, for every x."""
+    for x, row in enumerate(source_rows):
+        if target_rows[image[x]] != _image_of(row, image):
+            return False
+    return True
+
+
 def is_p_morphism(f: FrameMap, which: str = "r") -> bool:
     """Back-and-forth condition for the named relation ("r", "q", "e", or
     "s"): the target successors of f(x) are the image of the source
     successors of x."""
-    image = f.image
-    target_rows = getattr(f.target, which).rows
-    for x, row in enumerate(getattr(f.source, which).rows):
-        if target_rows[image[x]] != _image_of(row, image):
-            return False
-    return True
+    return _rows_match(getattr(f.source, which).rows, getattr(f.target, which).rows, f.image)
 
 
 def _converse_holds(image: Sequence[int], q1_preds, r2_preds, q2_preds) -> bool:
@@ -217,9 +262,9 @@ def _target_tables(target: Frame):
     return tables, loops
 
 
-def _search(source, target, onto: bool) -> list[FrameMap]:
-    """Morphisms from `source` to `target` (onto ones only when `onto`), in
-    lexicographic order of the image tuple."""
+def _search(source, target, onto: bool) -> list[tuple[int, ...]]:
+    """Image tuples of the morphisms from `source` to `target` (onto ones
+    only when `onto`), in lexicographic order."""
     if source.kind != target.kind:
         raise ValueError("frames must be of the same kind")
     n, m = source.n, target.n
@@ -244,7 +289,7 @@ def _search(source, target, onto: bool) -> list[FrameMap]:
             # Forth, back and onto-ness are enforced by the search; the
             # converse q-predecessor condition (`_condition4`) is not.
             if q_preds is None or _converse_holds(image, q_preds, r_conv, s_conv):
-                out.append(FrameMap(source, target, tuple(image)))
+                out.append(tuple(image))
             return
         # Forth: x's value must be a successor of the image of every
         # earlier predecessor, and a predecessor of the image of every
@@ -278,7 +323,7 @@ def _search(source, target, onto: bool) -> list[FrameMap]:
 def enumerate_morphisms(source, target) -> list[FrameMap]:
     """All morphisms from `source` to `target`, in lexicographic order of the
     image tuple.  Found by the pruned search described above."""
-    return _search(source, target, onto=False)
+    return _wrap(source, target, _search(source, target, onto=False))
 
 
 def enumerate_reductions(source, target) -> list[FrameMap]:
@@ -289,7 +334,7 @@ def enumerate_reductions(source, target) -> list[FrameMap]:
         raise BoundExceeded(
             f"source has {source.n} points, cap is {REDUCTION_SOURCE_CAP}"
         )
-    return _search(source, target, onto=True)
+    return _wrap(source, target, _search(source, target, onto=True))
 
 
 def lift_reduction(projection: QuotientMap, f: FrameMap) -> FrameMap:

@@ -4,6 +4,9 @@ The morphism conditions are re-derived here with plain set arithmetic so the
 bitmask implementations have an independent oracle to answer to.
 """
 
+import copy
+import dataclasses
+import pickle
 import random
 import re
 from itertools import product
@@ -162,6 +165,68 @@ def test_map_construction_rejects_bad_input(three_point_frame, two_point_frame, 
         FrameMap(three_point_frame, two_point_frame, (0, 1))
     with pytest.raises(ValueError, match="out of range"):
         FrameMap(three_point_frame, two_point_frame, (0, 1, 2))
+    for image in ((0, 1.0, 1), (0, True, 1), (False, 1, 1), (0, "1", 1), (0, None, 1)):
+        with pytest.raises(ValueError, match="image entries must be int point indices"):
+            FrameMap(three_point_frame, two_point_frame, image)
+    # The checks keep their order: kind, then cover, then each entry.
+    with pytest.raises(ValueError, match="same kind"):
+        FrameMap(three_point_frame, cluster_frame, (0, 1.0))
+    with pytest.raises(ValueError, match="cover every source point"):
+        FrameMap(three_point_frame, two_point_frame, (0, 1.0))
+    with pytest.raises(ValueError, match="image index 2 out of range"):
+        FrameMap(three_point_frame, two_point_frame, (0, 2, 1.0))
+
+
+def test_list_image_is_stored_as_a_tuple(three_point_frame, two_point_frame):
+    from_list = FrameMap(three_point_frame, two_point_frame, [0, 1, 1])
+    from_tuple = FrameMap(three_point_frame, two_point_frame, (0, 1, 1))
+    assert from_list.image == (0, 1, 1)
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+
+
+def test_frame_map_is_slotted_and_frozen(witness_map):
+    assert not hasattr(witness_map, "__dict__")
+    for field in dataclasses.fields(FrameMap):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(witness_map, field.name, getattr(witness_map, field.name))
+    clones = (
+        copy.copy(witness_map),
+        copy.deepcopy(witness_map),
+        pickle.loads(pickle.dumps(witness_map)),
+        dataclasses.replace(witness_map),
+    )
+    for clone in clones:
+        assert clone == witness_map and hash(clone) == hash(witness_map)
+    with pytest.raises(ValueError, match="out of range"):
+        dataclasses.replace(witness_map, image=(0, 1, 2))
+
+
+@pytest.mark.parametrize("kind", ["int", "ms4"])
+def test_found_maps_equal_checked_construction(kind):
+    # The search's maps skip the constructor; each must still be the map
+    # the constructor builds from the same endpoints and image.
+    frames = enumerate_frames(EnumerationConfig(kind=kind, max_points=3))
+    found = 0
+    for source in frames:
+        for target in frames:
+            for search in (enumerate_morphisms, enumerate_reductions):
+                for f in search(source, target):
+                    built = FrameMap(source, target, f.image)
+                    assert type(f) is FrameMap and type(f.image) is tuple
+                    assert f == built and hash(f) == hash(built) and repr(f) == repr(built)
+                    assert f.source is source and f.target is target
+                    found += 1
+    assert found > 500
+
+
+def test_kind_mismatch_raises_before_wrapping(monkeypatch, three_point_frame, cluster_frame):
+    wrapped = []
+    monkeypatch.setattr(morphisms, "_wrap", lambda *args: wrapped.append(args))
+    for search in (enumerate_morphisms, enumerate_reductions):
+        for source, target in ((three_point_frame, cluster_frame), (cluster_frame, three_point_frame)):
+            with pytest.raises(ValueError, match="same kind"):
+                search(source, target)
+    assert wrapped == []
 
 
 def test_p_morphism_matches_set_oracle():
