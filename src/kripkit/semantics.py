@@ -12,8 +12,8 @@ each slot holds one int per point whose bit v says whether the subformula
 holds there under valuation v of the current block (bit-slicing over the
 valuation space).  Connectives are bitwise operations, and the modalities
 and the intuitionistic implication AND (or, for `exists`, OR) rows over the
-relevant relation.  Blocks follow the search order and grow from one
-machine word of valuations to a fixed width, so a search stops soon after
+relevant relation.  Blocks follow the search order and grow from a small
+first block of valuations to a fixed width, so a search stops soon after
 its first refutation; within a block the lowest failing valuation and then
 its lowest failing point are reported, which is the first countermodel
 above.  `truth_set` runs the same evaluator on a block of one valuation.
@@ -54,13 +54,13 @@ POINT_CAP = 6
 # Most valuations one countermodel search may visit, whatever the caps.  The
 # default caps allow at most 64^3 = 2^18.
 VALUATION_BUDGET = 1 << 20
-# Valuations evaluated together: blocks start at one machine word, so a
-# formula refuted early stops early, and grow to a fixed width, which bounds
-# memory.  The first block is 64 wide because `_run` pays per instruction and
-# per point, and a 64-bit int costs about what a 16-bit one does: every frame
-# of at most 64 valuations (two letters on three points) is decided in one
-# block.
-_FIRST_BLOCK = 64
+# Valuations evaluated together: blocks start small, so a formula refuted
+# early stops early, and grow to a fixed width, which bounds memory.  The
+# first block is 256 wide because `_run` pays per instruction and per point,
+# and a 256-bit int costs little more than a 16-bit one: every problem of at
+# most 256 valuations (two letters on a 4-point modal frame, 16^2) is
+# decided in one block.
+_FIRST_BLOCK = 256
 _MAX_BLOCK = 1 << 12
 
 
@@ -176,25 +176,27 @@ def _compile(
     ("top"|"bottom", None, None), ("and"|"or"|"imp", slot, slot), or
     ("all"|"some", slot, "r"|"s"), naming the frame relation to quantify
     over.  `~ A` compiles as `A -> F`.  The walk is iterative, one visit per
-    stack entry: (node, None) pushes (node, node.args), which emits the node,
-    then the node's arguments in order, so the last compiles first.  Each
-    formula is finished before the next and each node object compiled once;
-    equal subtrees, within a formula or across the pool, share one slot,
-    keyed by the instruction, and the program is the keys in slot order.
-    The program does not depend on the frame, so it is cached per pool; the
-    cache is bounded because it keeps its formulas alive.
+    stack entry: visiting a node enters it, which pushes the 1-tuple (node,),
+    whose visit emits the node, then the node's arguments in order, so the
+    last compiles first.  Each formula is finished before the next and each
+    node object compiled once; equal subtrees, within a formula or across
+    the pool, share one slot, keyed by the instruction, and the program is
+    the keys in slot order.  The program does not depend on the frame, so
+    it is cached per pool; the cache is bounded because it keeps its
+    formulas alive.
     """
     slots: dict[tuple, int] = {}
     done: dict[int, int] = {}  # id(node) -> slot
-    stack: list = [(phi, None) for phi in reversed(formulas)]
+    stack: list = list(reversed(formulas))
     while stack:
-        node, args = stack.pop()
-        if args is None:
+        node = stack.pop()
+        if node.__class__ is not tuple:
             if id(node) not in done:
-                stack.append((node, node.args))
-                for arg in node.args:
-                    stack.append((arg, None))
+                stack.append((node,))
+                stack += node.args
             continue
+        (node,) = node
+        args = node.args
         kind = node.kind
         if kind == "letter":
             slot = slots.setdefault(("letter", node.name, None), len(slots))

@@ -79,13 +79,18 @@ class Formula:
     language-specific connectives (`exists` for "int", `box` for "modal")
     are rejected outside their language.
 
-    One constructor call builds a node: it checks the node and computes its
-    structural hash, depth and size from its children's cached values, so
-    `hash` and `depth` take constant time and formulas can key caches.  The
-    size counts nodes as a tree (a subtree that `<->` shares counts once per
-    occurrence).  Construction sets no limit; `parse` enforces MAX_NESTING
-    and MAX_SIZE from these fields.  Equality is structural; it and the tree
-    walks below use an explicit stack, so any depth built in Python is safe.
+    The constructor checks the node, then `_fill` stores it with its
+    structural hash, depth and size, computed from its children's cached
+    values, so `hash` and `depth` take constant time and formulas can key
+    caches.  The size counts nodes as a tree (a subtree that `<->` shares
+    counts once per occurrence).  Construction sets no limit; `parse`
+    enforces MAX_NESTING and MAX_SIZE from these fields.  Equality is
+    structural; it and the tree walks below use an explicit stack, so any
+    depth built in Python is safe.
+
+    The parser and `godel_translate` build their nodes with `_build`, which
+    skips the checks: each has already established what they check (see
+    there).  Every other caller goes through the constructor.
     """
 
     lang: str
@@ -112,20 +117,10 @@ class Formula:
         only = _ONLY_IN.get(kind, lang)
         if only != lang:
             raise ValueError(f"{kind!r} belongs to the {_LANG_NAME[only][1]} language")
-        depth, size = 0, 1
         for arg in args:
             if arg.lang != lang:
                 raise ValueError("mixed-language formula")
-            if arg._depth >= depth:
-                depth = arg._depth + 1
-            size += arg._size
-        _set_lang(self, lang)
-        _set_kind(self, kind)
-        _set_name(self, name)
-        _set_args(self, args)
-        _set_hash(self, hash((lang, kind, name, args)))
-        _set_depth(self, depth)
-        _set_size(self, size)
+        _fill(self, lang, kind, name, args)
 
     def __hash__(self) -> int:
         return self._hash
@@ -167,6 +162,34 @@ class Formula:
 _set_lang, _set_kind, _set_name, _set_args, _set_hash, _set_depth, _set_size = (
     getattr(Formula, slot).__set__ for slot in Formula.__slots__
 )
+
+
+def _fill(node: Formula, lang: str, kind: str, name: str, args: tuple) -> Formula:
+    """Store the fields of `node` and the structural ones derived from them."""
+    depth, size = 0, 1
+    for arg in args:
+        if arg._depth >= depth:
+            depth = arg._depth + 1
+        size += arg._size
+    _set_lang(node, lang)
+    _set_kind(node, kind)
+    _set_name(node, name)
+    _set_args(node, args)
+    _set_hash(node, hash((lang, kind, name, args)))
+    _set_depth(node, depth)
+    _set_size(node, size)
+    return node
+
+
+_new = object.__new__
+
+
+def _build(lang: str, kind: str, name: str, args: tuple) -> Formula:
+    """A node the constructor would accept, built without its checks.  Only
+    for callers that have established them: a known language and kind, the
+    kind's arity, a valid name exactly for letters, a connective of `lang`,
+    and arguments all in `lang`."""
+    return _fill(_new(Formula), lang, kind, name, args)
 
 
 def letter(name: str, lang: str = INT) -> Formula:
@@ -211,27 +234,27 @@ def implies(lhs: Formula, rhs: Formula) -> Formula:
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<iff><->)|(?P<arrow>->)|(?P<sym>[()&|~])"
-    r"|(?P<const>[TF])|(?P<name>[a-z][a-z0-9_]*)|(?P<bad>.)"
-)
+# One match per token, the whitespace before it included: a punctuation
+# mark, connective or constant (group 1), a name (group 2), or any other
+# character that is not whitespace (group 3), which is an error.
+_TOKEN_RE = re.compile(r"\s*(?:(<->|->|[()&|~TF])|([a-z][a-z0-9_]*)|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Return (kind, text, position) triples; kind is the literal token for
     punctuation and constants, "name" for letters, or the keyword itself."""
     tokens: list[tuple[str, str, int]] = []
-    # Every character starts a match (`\n` is whitespace, anything else not
-    # a token is `bad`), so the matches tile the text.
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastgroup
-        if group == "ws":
-            continue
-        word = m.group()
-        if group == "bad":
-            raise ParseError(f"unexpected character {word!r}", m.start())
-        kind = "name" if group == "name" and word not in _KEYWORDS else word
-        tokens.append((kind, word, m.start()))
+    # The text less its trailing whitespace (`rstrip` and `\s` agree on what
+    # whitespace is) ends in a token, so every search from the end of one
+    # match finds the next token right there: the matches tile it, and a
+    # long whitespace tail costs no search per character.
+    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
+        group = m.lastindex
+        word = m[group]
+        if group == 3:
+            raise ParseError(f"unexpected character {word!r}", m.start(group))
+        kind = "name" if group == 2 and word not in _KEYWORDS else word
+        tokens.append((kind, word, m.start(group)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -254,6 +277,12 @@ _INFIX = {symbol: (kind, prec, right) for kind, (symbol, prec, right) in _BINARY
 
 
 class _Parser:
+    """Operator-precedence parser over `_tokenize`'s tokens.  Its nodes come
+    from `_build`: the tokenizer yields as names only words that match
+    `_NAME_RE` and are not keywords, `unary` rejects a connective of the
+    other language before building, the grammar fixes each arity, and every
+    node gets `self.lang`."""
+
     def __init__(self, tokens: list[tuple[str, str, int]], lang: str):
         self.tokens = tokens
         self.lang = lang
@@ -274,7 +303,7 @@ class _Parser:
             raise self.too_deep(position)
 
     def node(self, kind: str, position: int, *args: Formula) -> Formula:
-        out = Formula(self.lang, kind, args=args)
+        out = _build(self.lang, kind, "", args)
         if out._depth > MAX_NESTING:
             raise self.too_deep(position)
         if out._size > MAX_SIZE:
@@ -339,11 +368,11 @@ class _Parser:
             self.open -= 1
             return out
         if kind == "T":
-            return top(self.lang)
+            return _build(self.lang, "top", "", ())
         if kind == "F":
-            return bottom(self.lang)
+            return _build(self.lang, "bottom", "", ())
         if kind == "name":
-            return letter(word, self.lang)
+            return _build(self.lang, "letter", word, ())
         shown = word or "end of input"
         raise ParseError(f"expected a formula, found {shown!r}", position)
 
@@ -438,28 +467,32 @@ def godel_translate(phi: Formula) -> Formula:
 
     Letters, implications, negations, and forall pick up a box; conjunction,
     disjunction, and the constants pass through; `exists A` becomes
-    `~ forall ~` of the translated `A`.
+    `~ forall ~` of the translated `A`.  Every input node is checked to be
+    intuitionistic, so each output node is a modal connective over modal
+    arguments, with the arity and letter names of the input, and is built
+    with `_build`.
     """
     if phi.lang != INT:
         raise ValueError("translation expects an intuitionistic formula")
     kind = phi.kind
     if kind == "letter":
-        return box(letter(phi.name, MODAL))
-    if kind in ("top", "bottom"):
-        return Formula(MODAL, kind)
-    if kind == "and":
-        return conj(godel_translate(phi.args[0]), godel_translate(phi.args[1]))
-    if kind == "or":
-        return disj(godel_translate(phi.args[0]), godel_translate(phi.args[1]))
+        return _build(MODAL, "box", "", (_build(MODAL, "letter", phi.name, ()),))
+    if kind == "top" or kind == "bottom":
+        return _build(MODAL, kind, "", ())
+    if kind == "and" or kind == "or":
+        return _build(
+            MODAL, kind, "", (godel_translate(phi.args[0]), godel_translate(phi.args[1]))
+        )
     if kind == "implies":
-        return box(implies(godel_translate(phi.args[0]), godel_translate(phi.args[1])))
-    if kind == "not":
-        return box(neg(godel_translate(phi.args[0])))
-    if kind == "forall":
-        return box(forall(godel_translate(phi.args[0])))
-    if kind == "exists":
-        return neg(forall(neg(godel_translate(phi.args[0]))))
-    raise ValueError(f"cannot translate formula kind {kind!r}")
+        args = (godel_translate(phi.args[0]), godel_translate(phi.args[1]))
+    elif kind == "not" or kind == "forall":
+        args = (godel_translate(phi.args[0]),)
+    elif kind == "exists":
+        inner = _build(MODAL, "not", "", (godel_translate(phi.args[0]),))
+        return _build(MODAL, "not", "", (_build(MODAL, "forall", "", (inner,)),))
+    else:
+        raise ValueError(f"cannot translate formula kind {kind!r}")
+    return _build(MODAL, "box", "", (_build(MODAL, kind, "", args),))
 
 
 def star_translate(phi: Formula) -> str:

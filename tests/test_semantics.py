@@ -457,9 +457,10 @@ TRANSLATION_POOLS = {INT: translation_formulas()}
 TRANSLATION_POOLS[MODAL] = [godel_translate(phi) for phi in TRANSLATION_POOLS[INT]]
 
 
-# Pools over three letters, and 4-point frames, have more than the 64
-# valuations of the first block, so their formulas are refuted in different
-# blocks and the later blocks run the programs of the formulas still holding.
+# Pools over three letters can have more than the 256 valuations of the
+# first block, so their formulas are refuted in different blocks and the
+# later blocks run the programs of the formulas still holding.  Two letters
+# on a 4-point frame fit in the first block.
 FOUR_POINT_FRAMES = [
     frame
     for kind in ("int", "ms4")
@@ -505,26 +506,33 @@ def test_validities_match_countermodel_on_drawn_pools(frame, drawn, picks):
 
 
 def test_validities_match_countermodel_across_blocks():
+    # Three letters, each ranging over at least 7 sets: more than 256
+    # valuations, so every case spans at least two blocks.
     rng = random.Random(17)
-    cases = [(frame, ("p", "q", "r")) for frame in SMALL_FRAMES]
-    cases += [(frame, ("p", "q")) for frame in FOUR_POINT_FRAMES]
-    for frame, letters in cases:
+    for frame in SMALL_FRAMES + FOUR_POINT_FRAMES:
         lang = INT if isinstance(frame, IntFrame) else MODAL
-        pool = [random_formula(rng, letters, 3, lang) for _ in range(8)]
+        space = upsets(frame.r) if lang == INT else subsets(frame.n)
+        if len(space) < 7:
+            continue
+        assert len(list(semantics._blocks((), (), (), len(space) ** 3))) >= 2
+        pool = [random_formula(rng, ("p", "q", "r"), 3, lang) for _ in range(8)]
         assert validities(frame, pool) == _one_by_one(frame, pool)
 
 
 def test_validities_recompile_the_survivors_between_blocks(monkeypatch):
-    # Three letters on a 3-point frame: 512 valuations, in blocks of 64, 256
-    # and 192.  Valuation v of the pool gives p the v // 64-th subset, so
-    # `q | r` fails in the first block (v = 0), `~ p` in the second
-    # (p = {z}, v = 64) and `~ box p` only in the third (p = {x, y, z},
-    # v = 448), each with the other letters empty.
-    frame = MS4Frame(("x", "y", "z"), Relation.total(3), Relation.total(3))
+    # Three letters on a 4-point frame: 4,096 valuations, in blocks of 256,
+    # 1,024 and 2,816.  Valuation v of the pool gives p the v // 256-th
+    # subset, so `q | r` fails in the first block (v = 0), `~ p` in the
+    # second (p = {z}, v = 256) and `~ box p` only in the third
+    # (p = {w, x, y, z}, v = 3,840), each with the other letters empty.
+    names = ("w", "x", "y", "z")
+    frame = MS4Frame(names, Relation.total(4), Relation.total(4))
     texts = ("box p -> p", "q | r", "~ p", "~ box p")
     pool = [parse(text, MODAL) for text in texts]
     firsts = [dict(countermodel(frame, phi).valuation.masks) for phi in pool[1:]]
-    assert firsts == [{"q": 0, "r": 0}, {"p": 0b100}, {"p": 0b111}]
+    assert firsts == [{"q": 0, "r": 0}, {"p": 0b1000}, {"p": 0b1111}]
+    widths = [full.bit_length() for _, full, _ in semantics._blocks((), (), (), 4096)]
+    assert widths == [256, 1024, 2816]
     assert _one_by_one(frame, pool) == (True, False, False, False)
     programs = []
     run = semantics._run
@@ -544,7 +552,7 @@ def test_validities_recompile_the_survivors_between_blocks(monkeypatch):
     # The pool reads no `forall`, so a frame with another s refutes the same
     # formulas in the same blocks and compiles nothing new.
     misses = semantics._compile.cache_info().misses
-    other = MS4Frame(("x", "y", "z"), Relation.total(3), Relation.identity(3))
+    other = MS4Frame(names, Relation.total(4), Relation.identity(4))
     assert validities(other, pool) == (True, False, False, False)
     assert len(programs) == 6
     assert programs[3:] == programs[:3]
@@ -713,6 +721,45 @@ def oracle_compile(formulas):
     return tuple(program), roots, tuple(sorted(letters))
 
 
+def two_entry_compile(formulas):
+    """The walk `_compile` made before its stack held one entry per visit:
+    (node, None) enters a node, pushing (node, node.args), whose visit emits
+    it, then the node's arguments in order."""
+    slots: dict[tuple, int] = {}
+    done: dict[int, int] = {}  # id(node) -> slot
+    stack: list = [(phi, None) for phi in reversed(formulas)]
+    while stack:
+        node, args = stack.pop()
+        if args is None:
+            if id(node) not in done:
+                stack.append((node, node.args))
+                for arg in node.args:
+                    stack.append((arg, None))
+            continue
+        kind = node.kind
+        if kind == "letter":
+            slot = slots.setdefault(("letter", node.name, None), len(slots))
+        elif kind == "top" or kind == "bottom":
+            slot = slots.setdefault((kind, None, None), len(slots))
+        else:
+            op, rel = semantics._OPS[node.lang]["implies" if kind == "not" else kind]
+            a = done[id(args[0])]
+            if op == "all" or op == "some":
+                slot = slots.setdefault((op, a, rel), len(slots))
+            else:
+                if kind == "not":
+                    b = slots.setdefault(("bottom", None, None), len(slots))
+                else:
+                    b = done[id(args[1])]
+                slot = slots.setdefault((op, a, b), len(slots))
+                if rel is not None:
+                    slot = slots.setdefault(("all", slot, rel), len(slots))
+        done[id(node)] = slot
+    roots = tuple(done[id(phi)] for phi in formulas)
+    letters = sorted(name for op, name, _ in slots if op == "letter")
+    return tuple(slots), roots, tuple(letters)
+
+
 def test_compile_matches_the_merge_on_the_translation_pools():
     for pool in TRANSLATION_POOLS.values():
         compiled = semantics._compile(tuple(pool))
@@ -723,13 +770,15 @@ def test_compile_matches_the_merge_on_the_translation_pools():
 @given(lang=st.sampled_from((INT, MODAL)), drawn=DRAWN, picks=PICKS)
 def test_compile_matches_the_merge_on_drawn_pools(lang, drawn, picks):
     pool = drawn_pool(lang, drawn, picks)
-    assert semantics._compile(pool) == merged_programs(pool) == oracle_compile(pool)
+    compiled = semantics._compile(pool)
+    assert compiled == merged_programs(pool) == oracle_compile(pool) == two_entry_compile(pool)
 
 
 def test_compile_matches_the_oracle_walk():
     # 500 seeded draws, each alone and as one pool per language; pools that
     # repeat objects, hold equal but distinct formulas and share an object
-    # within one formula; chains 5,000 deep, out of reach of recursion.
+    # within one formula; `<->` chains of draws, whose sides are shared;
+    # chains 5,000 deep, out of reach of recursion.
     draws = {INT: [], MODAL: []}
     for seed in range(500):
         lang = (INT, MODAL)[seed % 2]
@@ -741,13 +790,20 @@ def test_compile_matches_the_oracle_walk():
     a, b = parse(text), parse(text)
     twins = (a, b, a, disj(a, a), disj(a, b), a.args[1], b.args[0], neg(a), neg(b))
     pools += [twins, tuple(map(godel_translate, twins)), twins[::-1]]
+    for lang, pool in draws.items():
+        chains = [
+            parse(" <-> ".join(f"({print_formula(phi)})" for phi in pool[i : i + 3]), lang)
+            for i in range(0, 60, 3)
+        ]
+        pools += [tuple(chains), tuple(arg for phi in chains for arg in phi.args)]
     deep = {lang: letter("p", lang) for lang in (INT, MODAL)}
     for _ in range(5000):
         deep = {lang: neg(phi) for lang, phi in deep.items()}
     for phi in deep.values():
         pools += [(phi,), (phi, neg(phi), implies(phi, phi.args[0]))]
     for pool in pools:
-        assert semantics._compile.__wrapped__(pool) == oracle_compile(pool)
+        compiled = semantics._compile.__wrapped__(pool)
+        assert compiled == oracle_compile(pool) == two_entry_compile(pool)
 
 
 CACHE_POOL = {

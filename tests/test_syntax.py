@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
+import time
 from unittest import mock
 
 import pytest
@@ -249,6 +251,48 @@ def parse_outcome(text: str, lang: str):
         return type(exc), str(exc), exc.position
 
 
+# Oracle: the tokenizer before each token's match took the whitespace before
+# it.  Every character starts a match (`\n` is whitespace, anything else not
+# a token is `bad`), so the matches tile the text.
+_ORACLE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<iff><->)|(?P<arrow>->)|(?P<sym>[()&|~])"
+    r"|(?P<const>[TF])|(?P<name>[a-z][a-z0-9_]*)|(?P<bad>.)"
+)
+
+
+def oracle_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in _ORACLE_TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group == "ws":
+            continue
+        word = m.group()
+        if group == "bad":
+            raise ParseError(f"unexpected character {word!r}", m.start())
+        kind = "name" if group == "name" and word not in syntax._KEYWORDS else word
+        tokens.append((kind, word, m.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def tokenize_outcome(tokenize, text: str):
+    """The tokens, or the error's type, message and position."""
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+# Token pieces, and characters `\s` and `str.isspace` count as whitespace
+# (ASCII, the \x1c-\x1f separators, NEL, no-break and wide spaces) or that
+# are neither a token nor whitespace (NUL and other controls, a zero-width
+# space, non-ASCII, capitals).
+TOKEN_PIECES = ["p", "q", "x1", "a_b", "T", "F", "(", ")", "&", "|", "->", "<->", "~",
+                "forall", "exists", "box", "boxes", "<", "-", ">", "_", "1"]
+SPACE_PIECES = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                "\x85", "\xa0", "\u2028", "\u3000"]
+BAD_PIECES = ["\x00", "\x01", "\x7f", "#", "@", "P", "é", "λ", "\u200b", "\ud7ff"]
+
 # Letters, constants, every connective and keyword, parentheses, a space and
 # one character the tokenizer rejects.
 TOKENS = ["p", "q", "x1", "T", "F", "(", ")", "&", "|", "->", "<->", "~",
@@ -268,6 +312,30 @@ class TestParser:
         with mock.patch.object(syntax, "_Parser", _DescentParser):
             expected = parse_outcome(text, lang)
         assert parse_outcome(text, lang) == expected
+
+    def test_tokenizer_matches_the_oracle(self):
+        # 50,000 seeded texts: one in five of whitespace alone (or empty),
+        # the others drawn from the token pieces and whitespace, and one in
+        # three of those from the characters that are neither too.  About
+        # half of them tokenize.
+        rng = random.Random(22)
+        good = TOKEN_PIECES + SPACE_PIECES
+        every = good + BAD_PIECES
+        for i in range(50_000):
+            pieces = SPACE_PIECES if i % 5 == 0 else every if i % 3 == 0 else good
+            text = "".join(rng.choices(pieces, k=rng.randrange(12)))
+            expected = tokenize_outcome(oracle_tokenize, text)
+            assert tokenize_outcome(syntax._tokenize, text) == expected, repr(text)
+
+    def test_whitespace_tails_cost_no_search_per_character(self):
+        # A search for the next token from each character of a whitespace
+        # tail would take quadratic time: seconds at this length.
+        for text in ("p" + " " * 10_000, "\n" * 10_000, "p &" + "\x1c" * 10_000):
+            start = time.perf_counter()
+            outcome = parse_outcome(text, INT)
+            assert time.perf_counter() - start < 0.5
+            with mock.patch.object(syntax, "_tokenize", oracle_tokenize):
+                assert outcome == parse_outcome(text, INT)
 
     def test_atoms(self):
         assert parse("p") == letter("p")
@@ -607,6 +675,62 @@ class TestGodelTranslation:
         translated = godel_translate(phi)
         assert translated.lang == MODAL
         assert translated.letters() == phi.letters()
+
+
+def oracle_godel(phi: Formula) -> Formula:
+    """The translation built through the public, checked constructors."""
+    kind = phi.kind
+    if kind == "letter":
+        return box(letter(phi.name, MODAL))
+    if kind in ("top", "bottom"):
+        return Formula(MODAL, kind)
+    args = [oracle_godel(arg) for arg in phi.args]
+    if kind == "and":
+        return conj(*args)
+    if kind == "or":
+        return disj(*args)
+    if kind == "implies":
+        return box(implies(*args))
+    if kind == "not":
+        return box(neg(*args))
+    if kind == "forall":
+        return box(forall(*args))
+    return neg(forall(neg(*args)))
+
+
+def checked_copy(phi: Formula) -> Formula:
+    return Formula(phi.lang, phi.kind, phi.name, tuple(checked_copy(a) for a in phi.args))
+
+
+def assert_same_nodes(got: Formula, want: Formula) -> None:
+    """Node by node: the same class, fields and structural fields."""
+    stack = [(got, want)]
+    while stack:
+        a, b = stack.pop()
+        assert a.__class__ is b.__class__ is Formula
+        fields = (a.lang, a.kind, a.name, len(a.args), a._hash, a._depth, a._size)
+        assert fields == (b.lang, b.kind, b.name, len(b.args), b._hash, b._depth, b._size)
+        stack.extend(zip(a.args, b.args))
+
+
+@pytest.mark.parametrize("lang", [INT, MODAL])
+def test_trusted_nodes_match_checked_construction(lang):
+    # The parser and `godel_translate` skip the constructor's checks; their
+    # nodes must be the ones the checked constructor builds, on 300 seeded
+    # draws and on `<->` chains of three of them, whose sides are shared.
+    draws = [
+        random_formula(random.Random(seed), ("p", "q", "r")[: seed % 4], seed % 6, lang)
+        for seed in range(300)
+    ]
+    texts = [print_formula(phi) for phi in draws]
+    texts += [" <-> ".join(f"({text})" for text in texts[i : i + 3]) for i in range(0, 300, 3)]
+    for text in texts:
+        parsed = parse(text, lang)
+        assert_same_nodes(parsed, checked_copy(parsed))
+        if lang == INT:
+            translated = godel_translate(parsed)
+            assert_same_nodes(translated, checked_copy(translated))
+            assert_same_nodes(translated, oracle_godel(parsed))
 
 
 class TestStarTranslation:
