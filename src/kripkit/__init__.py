@@ -17,7 +17,7 @@ The package is organized around five layers:
 
 The names below state the paper's claims or serve the experiments and the
 command line; test oracles such as `find_isomorphism`, `canonical_form` and
-`desugar` stay in their modules.
+`desugar` stay in their modules, and `max_points` lives in the tests.
 """
 
 from .syntax import (
@@ -40,7 +40,6 @@ from .frames import (
     grz_max_check,
     has_clean_clusters,
     is_finite_mgrz,
-    max_points,
     qe,
     validate_int_frame,
     validate_ms4_frame,
@@ -94,7 +93,6 @@ __all__ = [
     "er",
     "qe",
     "has_clean_clusters",
-    "max_points",
     "grz_max_check",
     "is_finite_mgrz",
     "Valuation",

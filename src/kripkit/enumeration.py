@@ -220,7 +220,7 @@ def _classes(kind: str, n: int) -> tuple:
 
 def _casari_image_valid(frame) -> bool:
     translated = syntax.corpus("casari_translated")[0]
-    return semantics.frame_validates(frame, translated, point_cap=frame.n)
+    return semantics.frame_validates(frame, translated)
 
 
 def _passes_filters(frame, filters: frozenset[str]) -> bool:

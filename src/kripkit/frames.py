@@ -413,15 +413,6 @@ def has_clean_clusters(frame: IntFrame) -> bool:
     )
 
 
-def max_points(rel: Relation, subset: Iterable[int]) -> list[int]:
-    """Maximal elements of `subset` under `rel`: points whose only successor
-    inside the subset is themselves.  Inside a proper cluster this is empty,
-    which is what makes `grz_max_check` detect clusters."""
-    mask = mask_of(subset)
-    _check_mask(mask, rel.n)
-    return [x for x in bits(mask) if rel.rows[x] & mask & ~(1 << x) == 0]
-
-
 def grz_max_check(rel: Relation) -> bool:
     """Every nonempty subset lies below its own maximal points.
 

@@ -6,39 +6,30 @@ arbitrary subsets.  The search order is fixed (letters sorted, value masks
 ascending with the last letter varying fastest, points in index order), so
 "the first countermodel" is well defined and reproducible.
 
-A formula is compiled into a postorder program, in which equal subformulas
-share one slot, and the program is evaluated on many valuations at a time:
-each slot holds one int per point whose bit v says whether the subformula
-holds there under valuation v of the current block (bit-slicing over the
-valuation space).  Connectives are bitwise operations, and the modalities
-and the intuitionistic implication AND (or, for `exists`, OR) rows over the
-relevant relation.  Blocks follow the search order and grow from a small
-first block of valuations to a fixed width, so a search stops soon after
-its first refutation; within a block the lowest failing valuation and then
-its lowest failing point are reported, which is the first countermodel
+A pool of formulas (one formula is the pool of one) compiles into one
+postorder program, with one slot per distinct subformula and one root per
+formula, and the program runs on many valuations at a time: each slot holds
+one int per point whose bit v says whether the subformula holds there under
+valuation v of the current block (bit-slicing over the valuation space).
+
+`countermodel`, `validities` and `frame_validates` share one search,
+`_search`.  It checks every limit before any valuation is evaluated, then
+runs the pool over the valuations of its letters in blocks that follow the
+search order and grow from a small first block to a fixed width.  A formula
+reads only its own letters, so it is valid iff it holds under every
+valuation of the pool's.  A block drops the formulas it refutes, the next
+block runs the program of those still holding, and the search stops when
+none is left or the space is exhausted.  `countermodel`
+reads its witness off the refuting block: the lowest failing valuation, then
+that valuation's lowest failing point, which is the first countermodel
 above.  `truth_set` runs the same evaluator on a block of one valuation.
 
-Validity needs a yes or no, not a first countermodel, so `validities`
-decides a whole pool of formulas in one pass.  A formula reads only its own
-letters, so it is valid iff it holds under every valuation of any larger set
-of letters; the pool is compiled into one program, with shared slots and
-one root per formula, and run over the valuations of the pool's letters
-until every root is refuted or the space is exhausted.  Once a block has
-refuted some formulas, the formulas still holding are compiled as a pool of
-their own and the next blocks run that shorter program; `_compile` caches
-one program per set of survivors, so frames that refute the same formulas
-share it.  `frame_validates` is its one-formula case; `countermodel` still
-reports the first countermodel of one formula.
-
-Nothing is rebuilt per call.  The program names its relations "r" and "s"
-rather than holding them, so one compiler, `_compile`, serves every caller
-and caches its program per pool, keyed by the tuple of formulas (a single
-formula is the pool of one); the frame side is cached apart: successor
-lists per relation (`_successors`) and the valuation numbering with its
-letter rows (`_layout`), per (order, letter count) on intuitionistic frames,
-whose letters range over the order's upsets, and per (point count, letter
-count) on modal frames, whose letters range over all subsets.  Every cache
-is bounded.
+Nothing is rebuilt per call, and every cache is bounded: `_compile` keeps a
+program per pool (programs name the relations "r" and "s" rather than hold
+them, so they do not depend on the frame), `_successors` the successor
+lists per relation, and `_layout` the valuation numbering with its letter
+rows, per (order, letter count) on intuitionistic frames and per (point
+count, letter count) on modal ones.
 """
 
 from __future__ import annotations
@@ -356,7 +347,7 @@ def _layout(n: int, k: int, order: Relation | None) -> tuple:
     the order of product(space, repeat=k).  Raises BoundExceeded, before
     building any rows, when there are more than VALUATION_BUDGET valuations.
     """
-    space = tuple(subsets(n) if order is None else upsets(order))
+    space = _characteristic_order(n) if order is None else tuple(upsets(order))
     total = len(space) ** k
     if total > VALUATION_BUDGET:
         raise BoundExceeded(
@@ -369,16 +360,6 @@ def _layout(n: int, k: int, order: Relation | None) -> tuple:
         for stride, period in zip(strides, periods)
     )
     return space, total, strides, periods, rows
-
-
-def _checked_layout(frame, letters, letter_cap: int, point_cap: int, subject: str) -> tuple:
-    """The caps, then `_layout`'s budget: each raises BoundExceeded before
-    any valuation is evaluated."""
-    if frame.n > point_cap:
-        raise BoundExceeded(f"frame has {frame.n} points, cap is {point_cap}")
-    if len(letters) > letter_cap:
-        raise BoundExceeded(f"{subject} has {len(letters)} letters, cap is {letter_cap}")
-    return _layout(frame.n, len(letters), frame.r if frame.kind == "int" else None)
 
 
 def _blocks(letters, periods, rows, total: int):
@@ -400,6 +381,45 @@ def _blocks(letters, periods, rows, total: int):
         width = min(4 * width, _MAX_BLOCK)
 
 
+def _search(frame, formulas: tuple, letter_cap: int, point_cap: int) -> tuple:
+    """The valuation search behind `countermodel`, `validities` and
+    `frame_validates`: run the pool's program over the valuations of its
+    letters, block by block, until every formula is refuted or the space is
+    exhausted.
+
+    Everything is checked, and BoundExceeded or ValueError raised, before
+    any valuation is evaluated: each formula's language, the point cap, the
+    letter cap on the pool's letters and `_layout`'s VALUATION_BUDGET.  After
+    a block refutes some formulas, the next blocks run `_compile`'s cached
+    program for those still holding, in pool order.  Returns (holding,
+    letters, layout, base, full, rows): the pool positions that hold under
+    every valuation, and the last block evaluated, whose bit v is valuation
+    base + v, with the rows of each root that block ran.
+    """
+    for phi in formulas:
+        _check_pair(frame, phi)
+    program, slots, letters = _compile(formulas)
+    n = frame.n
+    if n > point_cap:
+        raise BoundExceeded(f"frame has {n} points, cap is {point_cap}")
+    if len(letters) > letter_cap:
+        subject = "formula" if len(formulas) == 1 else "pool"
+        raise BoundExceeded(f"{subject} has {len(letters)} letters, cap is {letter_cap}")
+    layout = _layout(n, len(letters), frame.r if frame.kind == "int" else None)
+    _, total, _, periods, rows = layout
+    relations = _relations(frame)
+    # The pool positions not yet refuted, and their roots in `program`.
+    holding = range(len(formulas))
+    for base, full, inputs in _blocks(letters, periods, rows, total):
+        if len(slots) > len(holding):
+            program, slots, _ = _compile(tuple(formulas[i] for i in holding))
+        values = _run(program, relations, n, inputs, full)
+        holding = [i for i, slot in zip(holding, slots) if values[slot].count(full) == n]
+        if not holding:
+            break
+    return holding, letters, layout, base, full, [values[slot] for slot in slots]
+
+
 def countermodel(
     frame,
     phi: syntax.Formula,
@@ -414,28 +434,20 @@ def countermodel(
     the caps, a search over more than VALUATION_BUDGET valuations raises
     BoundExceeded before it starts.
     """
-    _check_pair(frame, phi)
-    program, (root,), letters = _compile((phi,))
-    space, total, strides, periods, rows = _checked_layout(
-        frame, letters, letter_cap, point_cap, "formula"
-    )
-    relations = _relations(frame)
-    for base, full, inputs in _blocks(letters, periods, rows, total):
-        holds = _run(program, relations, frame.n, inputs, full)[root]
-        failing = 0
-        for row in holds:
-            failing |= full ^ row
-        if failing:
-            # Lowest failing valuation first, then its lowest failing point.
-            v = (failing & -failing).bit_length() - 1
-            point = next(x for x, row in enumerate(holds) if not row >> v & 1)
-            index = base + v
-            assign = {
-                name: space[index // stride % len(space)]
-                for name, stride in zip(letters, strides)
-            }
-            return Countermodel(frame, Valuation.from_masks(frame, assign), point, phi)
-    return None
+    holding, letters, layout, base, full, (holds,) = _search(frame, (phi,), letter_cap, point_cap)
+    if holding:
+        return None
+    # The block that refuted `phi`: its lowest failing valuation first, then
+    # that valuation's lowest failing point.
+    failing = 0
+    for row in holds:
+        failing |= full ^ row
+    v = (failing & -failing).bit_length() - 1
+    point = next(x for x, row in enumerate(holds) if not row >> v & 1)
+    space, _, strides, _, _ = layout
+    index = base + v
+    assign = {name: space[index // stride % len(space)] for name, stride in zip(letters, strides)}
+    return Countermodel(frame, Valuation.from_masks(frame, assign), point, phi)
 
 
 def validities(
@@ -447,33 +459,11 @@ def validities(
 ) -> tuple[bool, ...]:
     """For each formula of the pool, whether `frame` validates it.
 
-    One program runs over the valuations of the pool's letters, so the
-    letter cap and VALUATION_BUDGET apply to the pool, not to each formula;
-    everything is checked, and BoundExceeded or ValueError raised, before
-    any valuation is evaluated.  After a block refutes some formulas, the
-    next blocks run `_compile`'s cached program for the formulas still
-    holding, in pool order, on the pool's valuations and letter rows; the
-    search stops once every formula is refuted.  Equal formulas share a
-    root, so they get the same answer.
+    The letter cap and VALUATION_BUDGET apply to the pool, not to each
+    formula.  Equal formulas share a root, so they get the same answer.
     """
     formulas = tuple(formulas)
-    for phi in formulas:
-        _check_pair(frame, phi)
-    program, roots, letters = _compile(formulas)
-    subject = "formula" if len(formulas) == 1 else "pool"
-    _, total, _, periods, rows = _checked_layout(frame, letters, letter_cap, point_cap, subject)
-    relations = _relations(frame)
-    n = frame.n
-    # The pool positions not yet refuted, and their roots in `program`.
-    holding, slots = range(len(formulas)), roots
-    for _, full, inputs in _blocks(letters, periods, rows, total):
-        if len(slots) > len(holding):
-            program, slots, _ = _compile(tuple(formulas[i] for i in holding))
-        values = _run(program, relations, n, inputs, full)
-        holding = [i for i, slot in zip(holding, slots) if values[slot].count(full) == n]
-        if not holding:
-            break
-    held = set(holding)
+    held = set(_search(frame, formulas, letter_cap, point_cap)[0])
     return tuple([i in held for i in range(len(formulas))])
 
 
@@ -485,4 +475,4 @@ def frame_validates(
     point_cap: int = POINT_CAP,
 ) -> bool:
     """True when every admissible valuation makes `phi` true everywhere."""
-    return validities(frame, (phi,), letter_cap=letter_cap, point_cap=point_cap)[0]
+    return bool(_search(frame, (phi,), letter_cap, point_cap)[0])

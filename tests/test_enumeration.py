@@ -25,6 +25,7 @@ import pytest
 from kripkit.cli import main
 from kripkit.enumeration import (
     CANONICAL_MAX,
+    MAX_ENUM_POINTS,
     EnumerationConfig,
     _classes,
     _order_classes,
@@ -44,7 +45,7 @@ from kripkit.frames import (
     is_finite_mgrz,
     qe,
 )
-from kripkit.semantics import frame_validates
+from kripkit.semantics import POINT_CAP, frame_validates
 from kripkit.syntax import corpus
 
 
@@ -448,6 +449,11 @@ def test_translated_casari_filter_is_semantic():
     assert filtered == [
         f for f in plain if frame_validates(f, translated, point_cap=f.n)
     ]
+
+
+def test_the_semantic_filter_needs_no_point_cap_override():
+    # `m_plus_grz` model-checks every enumerated frame at the default caps.
+    assert MAX_ENUM_POINTS <= POINT_CAP
 
 
 def test_antisymmetric_modal_classes_match_int_classes():

@@ -25,7 +25,6 @@ from kripkit.frames import (
     has_clean_clusters,
     is_finite_mgrz,
     mask_of,
-    max_points,
     qe,
     validate_frame,
     validate_int_frame,
@@ -113,6 +112,16 @@ def symmetric_witness_oracle(rel: Relation):
 
 def converse_oracle(rel: Relation) -> Relation:
     return Relation(rel.n, tuple(rel.preimage(1 << j) for j in range(rel.n)))
+
+
+def max_points(rel: Relation, subset) -> list[int]:
+    """Maximal elements of `subset` under `rel`: points whose only successor
+    inside the subset is themselves.  Inside a proper cluster this is empty,
+    which is what makes the max-point check detect clusters."""
+    mask = mask_of(subset)
+    if mask >> rel.n:
+        raise ValueError(f"mask {mask} out of range for n={rel.n}")
+    return [x for x in bits(mask) if rel.rows[x] & mask & ~(1 << x) == 0]
 
 
 def grz_max_check_oracle(rel: Relation) -> bool:

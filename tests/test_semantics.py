@@ -312,6 +312,16 @@ class TestCountermodel:
         failing = [x for x in range(3) if not full >> x & 1]
         assert found.point == min(failing)
 
+    def test_countermodel_past_the_first_block(self):
+        # Three letters over the 8 subsets of 3 points: 512 valuations.  The
+        # first refutation is valuation 264 = 4 * 64 + 1 * 8 + 0, which the
+        # 256-wide first block does not reach.
+        r = Relation.from_pairs(3, [(0, 0), (0, 1), (0, 2), (1, 1), (2, 2)])
+        e = Relation.from_pairs(3, [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)])
+        frame = MS4Frame(("a", "b", "c"), r, e)
+        found = countermodel(frame, parse("forall p -> box(q -> r) | q", MODAL))
+        assert found.describe() == "fails at a under p={a}, q={c}, r={}"
+
     def test_unknown_kind_is_a_value_error(self, two_point_frame):
         phi = parse("p & p")
         object.__setattr__(phi, "kind", "xor")
@@ -575,27 +585,48 @@ class TestValiditiesContract:
         monkeypatch.setattr(semantics, "_run", refuse)
 
     def test_pool_letters_over_the_cap(self, two_point_frame, no_evaluation):
-        # Each formula reads one letter; the pool reads four.
+        # Each formula reads one letter; the pool reads four, for the letter
+        # cap and for the budget (64^4 valuations on 6 points).
         pool = [parse(name) for name in ("p", "q", "r", "s")]
         with pytest.raises(BoundExceeded, match="pool has 4 letters"):
             validities(two_point_frame, pool)
+        frame = MS4Frame(tuple("uvwxyz"), chain_poset(6), Relation.total(6))
+        pool = [letter(name, MODAL) for name in ("p", "q", "r", "s")]
+        with pytest.raises(BoundExceeded, match="budget"):
+            validities(frame, pool, letter_cap=4)
 
-    def test_one_formula_over_the_cap_is_named_a_formula(self, two_point_frame, no_evaluation):
+    # The three entry points, each called on one formula: all of them check
+    # their limits in the one search, before any block is evaluated.
+    ONE_FORMULA = pytest.mark.parametrize(
+        "check",
+        [
+            countermodel,
+            frame_validates,
+            lambda frame, phi, **caps: validities(frame, [phi], **caps),
+        ],
+        ids=["countermodel", "frame_validates", "validities"],
+    )
+
+    @ONE_FORMULA
+    def test_one_formula_over_the_cap_is_named_a_formula(
+        self, check, two_point_frame, no_evaluation
+    ):
         with pytest.raises(BoundExceeded, match="formula has 4 letters"):
-            frame_validates(two_point_frame, parse("p & q & r & s"))
+            check(two_point_frame, parse("p & q & r & s"))
 
-    def test_frame_over_the_point_cap(self, three_point_frame, no_evaluation):
+    @ONE_FORMULA
+    def test_frame_over_the_point_cap(self, check, three_point_frame, no_evaluation):
         with pytest.raises(BoundExceeded, match="3 points"):
-            validities(three_point_frame, [parse("p -> p")], point_cap=2)
+            check(three_point_frame, parse("p -> p"), point_cap=2)
 
-    def test_space_over_the_valuation_budget(self, no_evaluation):
+    @ONE_FORMULA
+    def test_space_over_the_valuation_budget(self, check, no_evaluation):
         # 64 subsets of 6 points, four letters: 2^24 valuations.
         n = 6
         frame = MS4Frame(tuple(f"x{i}" for i in range(n)), chain_poset(n), Relation.total(n))
-        pool = [letter(name, MODAL) for name in ("p", "q", "r", "s")]
         assert 64**4 > VALUATION_BUDGET
         with pytest.raises(BoundExceeded, match="budget"):
-            validities(frame, pool, letter_cap=4)
+            check(frame, parse("p & q & r & s", MODAL), letter_cap=4)
 
 
 # --- caches ---------------------------------------------------------------------

@@ -25,7 +25,6 @@ PUBLIC = [
     "er",
     "qe",
     "has_clean_clusters",
-    "max_points",
     "grz_max_check",
     "is_finite_mgrz",
     "Valuation",
