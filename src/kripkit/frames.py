@@ -407,6 +407,8 @@ def validate_frame(frame: Frame) -> ValidationReport:
 
 def has_clean_clusters(frame: IntFrame) -> bool:
     """True when a strict r-step never stays inside a q-cluster."""
+    if not isinstance(frame, IntFrame):
+        raise ValueError("expected an intuitionistic frame")
     eq = frame.e_q()
     return all(
         frame.r.rows[x] & eq.rows[x] == 1 << x for x in range(frame.n)

@@ -37,6 +37,14 @@ with a bit at or above the source's point count.
 
 `lift_reduction` composes a reduction of a modal frame's quotient onto a
 clean frame with the projection `skeleton` returns.
+
+`_reduction_shape` gives numbers of a frame that no reduction can raise
+(points, and per relation: unrooted, components, top clusters, depth), and
+`_may_reduce` compares two shapes.  The `lifting` experiment skips each
+(quotient, target) pair whose shapes rule a reduction out: it meets each
+quotient with many targets, so one shape per frame pays for itself.
+`enumerate_reductions` does not compare shapes, since it sees two fresh
+frames per call and the shapes would cost more than the searches they skip.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from .frames import (
     Frame,
     IntFrame,
     MS4Frame,
+    Relation,
     _check_mask,
     bits,
     has_clean_clusters,
@@ -318,6 +327,62 @@ def _search(source, target, onto: bool) -> list[tuple[int, ...]]:
 
     extend(0, 0)
     return out
+
+
+def _relation_shape(rel: Relation) -> tuple[int, int, int, int]:
+    """Four numbers of a quasi-order that no reduction can raise: whether
+    it is unrooted (no point reaches every point), its connected components
+    (of R and its converse together), its top clusters (of the points x
+    whose successors all reach x back) and its depth (the most strict steps
+    in one chain)."""
+    rows, conv = rel.rows, rel.converse().rows
+    full = (1 << rel.n) - 1
+    components = 0
+    left = full
+    while left:
+        components += 1
+        reach = left & -left
+        grown = 0
+        while grown != reach:
+            grown = reach
+            for x in bits(grown):
+                reach |= rows[x] | conv[x]
+        left &= ~reach
+    strict = [row & ~back for row, back in zip(rows, conv)]
+    # A strict successor of x has fewer successors than x, so the points
+    # are visited after every strict successor of theirs.
+    height = [0] * rel.n
+    for x in sorted(range(rel.n), key=lambda x: rows[x].bit_count()):
+        for y in bits(strict[x]):
+            height[x] = max(height[x], height[y] + 1)
+    tops = len({rows[x] for x in range(rel.n) if not strict[x]})
+    return int(full not in rows), components, tops, max(height)
+
+
+def _reduction_shape(frame: Frame) -> tuple[int, ...]:
+    """The point count, then the `_relation_shape` of r and of s: numbers
+    that a reduction from a frame onto another can only keep or lower, so
+    `_may_reduce` compares them before a search.
+
+    Both relations must be quasi-orders, as they are in every valid frame.
+    For a reduction f (onto, with f[R(x)] = R'(f(x)) for R = r and s):
+    - points: f is onto.
+    - unrooted: if R(x) is every point, R'(f(x)) = f[R(x)] is every point.
+    - components: f maps each R-step to an R'-step and is onto, so it maps
+      components onto components.
+    - top clusters: forth maps a cluster into one cluster, and each top
+      cluster of the target holds some f(x), so forth maps the top cluster
+      that x reaches into it.
+    - depth: back lifts each strict chain above f(x) to one above x, and a
+      step that forth maps to a strict step is strict.
+    """
+    return (frame.n, *_relation_shape(frame.r), *_relation_shape(frame.s))
+
+
+def _may_reduce(source_shape: tuple[int, ...], target_shape: tuple[int, ...]) -> bool:
+    """False when no reduction can map a frame of the source shape onto one
+    of the target shape: some number of the target's exceeds the source's."""
+    return all(t <= s for s, t in zip(source_shape, target_shape))
 
 
 def enumerate_morphisms(source, target) -> list[FrameMap]:

@@ -34,6 +34,8 @@ from .frames import (
 from .functors import sigma, skeleton
 from .morphisms import (
     FrameMap,
+    _may_reduce,
+    _reduction_shape,
     _rows_match,
     enumerate_morphisms,
     enumerate_reductions,
@@ -283,10 +285,11 @@ def _run_sigma_functor(bound: int) -> tuple[int, list[str]]:
 
 def _run_lifting(bound: int) -> tuple[int, list[str]]:
     targets = _enumerate("int", min(3, bound), "m_plus")
+    target_shapes = [_reduction_shape(target) for target in targets]
     # Each distinct quotient is searched once per run, keyed by its rows
-    # (`_quotient_key`): per target, the image tuples of its reductions.
-    # Every reduction is still rebuilt on its own quotient, then lifted and
-    # checked.
+    # (`_quotient_key`): per target, the image tuples of its reductions,
+    # none where the shapes rule a reduction out.  Every reduction is still
+    # rebuilt on its own quotient, then lifted and checked.
     found: dict[tuple, tuple[tuple[tuple[int, ...], ...], ...]] = {}
     instances = 0
     failures = []
@@ -295,9 +298,12 @@ def _run_lifting(bound: int) -> tuple[int, list[str]]:
         key = _quotient_key(quotient)
         per_target = found.get(key)
         if per_target is None:
+            shape = _reduction_shape(quotient)
             per_target = found[key] = tuple(
                 tuple(f.image for f in enumerate_reductions(quotient, target))
-                for target in targets
+                if _may_reduce(shape, target_shape)
+                else ()
+                for target, target_shape in zip(targets, target_shapes)
             )
         for target, images in zip(targets, per_target):
             for image in images:

@@ -183,7 +183,7 @@ def test_criterion_07_sigma_functoriality():
     _finish(7, f"expansion preserves {checked} morphisms", failures, started, 120.0)
 
 
-def test_criterion_08_lifting_claim():
+def test_criterion_08_lifting_claim(monkeypatch):
     started = time.perf_counter()
     targets = _enumerated("int", 3, "m_plus")
     failures = []
@@ -206,9 +206,20 @@ def test_criterion_08_lifting_claim():
                 if not (lifted.is_onto() and is_ms4_morphism(lifted)):
                     failures.append(f"{modal.points} -> {target.points}: lift not a reduction")
     failures += witnesses
-    # The registered experiment searches each distinct quotient once; it must
-    # still report every instance and every failure of the direct loop.
+    # The registered experiment searches each distinct quotient once, and
+    # only against the targets its shape allows (627 of its 2,030 quotient
+    # and target pairs); it must still report every instance and every
+    # failure of the direct loop.
+    searched = []
+
+    def counted(quotient, target):
+        searched.append((quotient, target))
+        return enumerate_reductions(quotient, target)
+
+    monkeypatch.setattr("kripkit.workbench.enumerate_reductions", counted)
     report = run_experiment("lifting")
+    if len(searched) != 627:
+        failures.append(f"experiment made {len(searched)} searches, not 627")
     if report.instances != checked:
         failures.append("experiment and direct loop disagree on the instance count")
     if report.failures != tuple(witnesses):

@@ -717,11 +717,13 @@ class TestMS4FrameValidation:
 
 
 class TestFrameClassifiers:
-    def test_clean_clusters(self, three_point_frame, two_point_frame):
+    def test_clean_clusters(self, three_point_frame, two_point_frame, cluster_frame):
         assert not has_clean_clusters(three_point_frame)
         assert not has_clean_clusters(two_point_frame)
         discrete = IntFrame(("a", "b"), Relation.identity(2), Relation.total(2))
         assert has_clean_clusters(discrete)
+        with pytest.raises(ValueError, match="expected an intuitionistic frame"):
+            has_clean_clusters(cluster_frame)
 
     def test_finite_mgrz(self, cluster_frame):
         assert not is_finite_mgrz(cluster_frame)

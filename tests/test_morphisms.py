@@ -12,7 +12,7 @@ import re
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kripkit import morphisms
@@ -27,6 +27,8 @@ from kripkit.frames import (
 from kripkit.functors import sigma, skeleton, skeleton_map
 from kripkit.morphisms import (
     FrameMap,
+    _may_reduce,
+    _reduction_shape,
     condition4_eform,
     enumerate_morphisms,
     enumerate_reductions,
@@ -491,3 +493,52 @@ def test_lift_reduction_checks_map_endpoints():
         lift_reduction(projection, FrameMap(other, target, (0,)))
     with pytest.raises(ValueError, match="not a reduction"):
         lift_reduction(projection, FrameMap(quotient, target, (0, 0)))
+    with pytest.raises(ValueError, match="expected an intuitionistic frame"):
+        lift_reduction(projection, identity_map(modal))
+
+
+def shape_rejections(sources, targets) -> tuple[int, int]:
+    """Checks that every pair with no more target than source points that
+    the shape test rejects has no reduction; returns how many such pairs
+    there were and how many the test rejected."""
+    target_shapes = [(target, _reduction_shape(target)) for target in targets]
+    pairs = rejected = 0
+    for source in sources:
+        shape = _reduction_shape(source)
+        for target, target_shape in target_shapes:
+            if target.n > source.n:
+                continue
+            pairs += 1
+            if not _may_reduce(shape, target_shape):
+                rejected += 1
+                assert enumerate_reductions(source, target) == [], (source, target)
+    return pairs, rejected
+
+
+@pytest.mark.parametrize(
+    "kind, counts", [("int", (3011, 1870)), ("ms4", (9353, 5104))]
+)
+def test_shape_test_rejects_only_pairs_without_reductions(kind, counts):
+    frames = enumerate_frames(EnumerationConfig(kind=kind, max_points=4))
+    targets = [f for f in frames if f.n <= 3]
+    assert shape_rejections(frames, targets) == counts
+
+
+@settings(max_examples=25)
+@given(st.sampled_from(["int", "ms4"]), st.data())
+def test_shape_test_rejects_only_pairs_without_reductions_on_unions(kind, data):
+    # Six-point sources with two components, against every target up to
+    # three points: the fold a+a onto a must pass the test.
+    frames = enumerate_frames(EnumerationConfig(kind=kind, max_points=3))
+    three = st.sampled_from([f for f in frames if f.n == 3])
+    a, b = data.draw(three), data.draw(three)
+    shape_rejections([disjoint_union(a, b)], frames)
+    assert _may_reduce(_reduction_shape(disjoint_union(a, a)), _reduction_shape(a))
+
+
+def test_shape_numbers_on_named_frames(three_point_frame, cluster_frame):
+    # Points, then (unrooted, components, top clusters, depth) of r and of s.
+    assert _reduction_shape(chain_frame(3)) == (3, 0, 1, 1, 2, 0, 1, 1, 2)
+    assert _reduction_shape(three_point_frame) == (3, 1, 1, 1, 1, 0, 1, 1, 1)
+    assert _reduction_shape(cluster_frame) == (2, 0, 1, 1, 0, 1, 2, 2, 0)
+
