@@ -13,9 +13,10 @@ the paper's name for `s`:
 
 `validate_frame` checks a frame's conditions, reporting each failure with a
 witness.  Relations are stored as bitmask rows: bit j of `rows[i]` is set iff
-i is related to j, and the checks read those rows directly.  Derived
-relations (a relation's converse, an intuitionistic frame's cluster
-equivalence `e_q`) are computed once per object and kept on it.  `bits`
+i is related to j, and the checks read those rows directly.  What is
+derived from a relation (its converse, successor lists, loop mask and
+both-ways part) is computed once per `Relation` object and kept on it; the
+cluster equivalences `er` and `IntFrame.e_q` are both-ways parts.  `bits`
 returns a cached tuple.  A mask with a bit at or above the point count, or
 a negative one, raises `ValueError` instead of being read past the rows.
 Everything here is exhaustive search over points, so sizes are capped at
@@ -132,6 +133,21 @@ class Relation:
                 rows[j] |= 1 << i
         return Relation(self.n, tuple(rows))
 
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Per point, its successor indices, ascending."""
+        return tuple(map(bits, self.rows))
+
+    @cached_property
+    def loops(self) -> int:
+        """Mask of the points related to themselves."""
+        return sum(row & 1 << i for i, row in enumerate(self.rows))
+
+    @cached_property
+    def both_ways(self) -> "Relation":
+        """The pairs related both ways: the relation meet its converse."""
+        return self.meet(self._converse)
+
     def compose(self, other: "Relation") -> "Relation":
         """x (self;other) z iff x self y and y other z for some y."""
         return Relation(self.n, tuple(other.image(row) for row in self.rows))
@@ -159,7 +175,7 @@ def er(rel: Relation) -> Relation:
     """Cluster equivalence of a quasi-order: both-ways reachability."""
     if not rel.is_quasi_order():
         raise ValueError("cluster equivalence needs a quasi-order")
-    return rel.meet(rel.converse())
+    return rel.both_ways
 
 
 def qe(r: Relation, e: Relation) -> Relation:
@@ -254,11 +270,7 @@ class IntFrame(Frame):
 
     def e_q(self) -> Relation:
         """Equivalence of mutual Q-reachability (Q-cluster relation)."""
-        return self._e_q
-
-    @cached_property
-    def _e_q(self) -> Relation:
-        return self.q.meet(self.q.converse())
+        return self.q.both_ways
 
 
 class MS4Frame(Frame):
@@ -276,10 +288,8 @@ FRAME_TYPES = {frame_type.kind: frame_type for frame_type in (IntFrame, MS4Frame
 
 
 def _reflexive_witness(rel: Relation) -> tuple[int, ...] | None:
-    for i, row in enumerate(rel.rows):
-        if not row >> i & 1:
-            return (i,)
-    return None
+    missing = ~rel.loops & (1 << rel.n) - 1
+    return (bits(missing)[0],) if missing else None
 
 
 def _transitive_witness(rel: Relation) -> tuple[int, ...] | None:
@@ -494,6 +504,9 @@ def frame_from_json_dict(data: dict, validate: bool = True) -> Frame:
     ):
         raise ValueError("frame JSON needs a nonempty list of point names")
     n = len(points)
+    # Checked before the relations, whose own check would name them instead.
+    if n > MAX_POINTS:
+        raise BoundExceeded(f"{n} points exceeds cap {MAX_POINTS}")
     frame_type = FRAME_TYPES[kind]
     second_key = frame_type.second.upper()
     if "R" not in data or second_key not in data:

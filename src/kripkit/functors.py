@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frames import IntFrame, MS4Frame, Relation, bits, er, qe
+from .frames import IntFrame, MS4Frame, Relation, er, qe
 from .morphisms import FrameMap, _image_of, is_ms4_morphism
 
 
@@ -40,17 +40,15 @@ def skeleton(frame: MS4Frame) -> tuple[IntFrame, QuotientMap]:
     representatives are r-related; the coarse relation holds when an r-step
     followed by an e-step connects them.
     """
-    cluster = er(frame.r)
+    cluster = er(frame.r).successors
     class_index = [-1] * frame.n
     reps: list[int] = []
     for x in range(frame.n):
-        if class_index[x] >= 0:
-            continue
-        k = len(reps)
-        reps.append(x)
-        for y in bits(cluster.rows[x]):
-            class_index[y] = k
-    classes = tuple(tuple(bits(cluster.rows[rep])) for rep in reps)
+        if class_index[x] < 0:
+            for y in cluster[x]:
+                class_index[y] = len(reps)
+            reps.append(x)
+    classes = tuple(cluster[rep] for rep in reps)
     m = len(reps)
     # Reading each row at the representatives alone keeps the quotient
     # defined by representatives even where e does not commute with r.
@@ -102,7 +100,7 @@ def find_isomorphism(a, b) -> tuple[int, ...] | None:
 
     def signature(rels, x):
         return tuple(
-            (rel.rows[x].bit_count(), rel.preimage(1 << x).bit_count()) for rel in rels
+            (rel.rows[x].bit_count(), rel.converse().rows[x].bit_count()) for rel in rels
         )
 
     inv_a = [signature(rels_a, x) for x in range(a.n)]

@@ -18,10 +18,11 @@ reductions) too few source points remain to hit every target point.
 Every morphism passes those tests.  A complete map that passed them
 satisfies back-and-forth for both relations and, for a reduction, is onto,
 so it is already a modal morphism; an intuitionistic map is checked only for
-the converse q-predecessor condition.  The tables the search reads are built
-once per frame, not per call, and kept in small bounded caches keyed by the
-frame: the source side (forth pairs, loop flags, back schedule,
-q-predecessors) and the target side (rows, converse rows, loop masks).
+the converse q-predecessor condition.  The search's schedule over its
+source (forth pairs, back rows and q-predecessors) is built once per
+source, not per call, and kept in a small bounded cache keyed by the frame;
+everything else it reads (rows, converse rows, loop masks) is kept on each
+`Relation`.
 
 The search returns image tuples.  `enumerate_morphisms` and
 `enumerate_reductions` wrap them in `FrameMap`s through the slot setters,
@@ -31,9 +32,9 @@ target index per source point, so every check the constructor makes holds
 by construction.  Every other `FrameMap` goes through the checked
 constructor.
 
-The morphism predicates read relation rows and the converse rows each
-relation keeps once computed; `apply_mask` raises `ValueError` on a mask
-with a bit at or above the source's point count.
+The morphism predicates read relation rows and the converse rows and
+successor lists each relation keeps once computed; `apply_mask` raises
+`ValueError` on a mask with a bit at or above the source's point count.
 
 `lift_reduction` composes a reduction of a modal frame's quotient onto a
 clean frame with the projection `skeleton` returns.
@@ -179,7 +180,7 @@ def _converse_holds(image: Sequence[int], q1_preds, r2_preds, q2_preds) -> bool:
 def _condition4(f: FrameMap) -> bool:
     return _converse_holds(
         f.image,
-        map(bits, f.source.q.converse().rows),
+        f.source.q.converse().successors,
         f.target.r.converse().rows,
         f.target.q.converse().rows,
     )
@@ -234,41 +235,25 @@ def is_reduction(f: FrameMap) -> bool:
 
 @lru_cache(maxsize=64)
 def _source_tables(source: Frame):
-    """What the search needs of its source alone, per point x: the loop
-    flag for each relation; the forth pairs (t, y), one per earlier
-    predecessor y of x (t = 0 for r, 2 for s) and per earlier successor
-    (t = 1, 3), naming the target table that bounds x's value; the points
-    whose rows are fully assigned once x is, each with its row; for
-    intuitionistic frames also the q-predecessors of every point."""
+    """What the search needs of its source alone, per point x: the forth
+    pairs (t, y), one per earlier predecessor y of x (t = 0 for r, 2 for s)
+    and per earlier successor (t = 1, 3), naming the target table that
+    bounds x's value; the points whose rows are fully assigned once x is,
+    each with its successor list; for intuitionistic frames also the
+    q-predecessors of every point."""
     n = source.n
-    rels = (source.r, source.s)
-    loops = tuple(tuple(rel.has(x, x) for rel in rels) for x in range(n))
     forth = [[] for _ in range(n)]
     back = [[] for _ in range(n)]
-    for k, rel in enumerate(rels):
-        for y, row in enumerate(rel.rows):
-            for x in bits(row):
+    for k, rel in enumerate((source.r, source.s)):
+        for y, (row, succ) in enumerate(zip(rel.rows, rel.successors)):
+            for x in succ:
                 if y < x:
                     forth[x].append((2 * k, y))
                 elif x < y:
                     forth[y].append((2 * k + 1, x))
-            back[max(y, row.bit_length() - 1)].append((2 * k, y, bits(row)))
-    q_preds = None
-    if source.kind == "int":
-        q_preds = tuple(map(bits, source.q.converse().rows))
-    return loops, tuple(map(tuple, forth)), tuple(map(tuple, back)), q_preds
-
-
-@lru_cache(maxsize=64)
-def _target_tables(target: Frame):
-    """What the search needs of its target alone: the rows and converse
-    rows of r and of s, and each relation's mask of points with a loop."""
-    r, s = target.r, target.s
-    tables = (r.rows, r.converse().rows, s.rows, s.converse().rows)
-    loops = tuple(
-        sum(1 << v for v in range(target.n) if rel.has(v, v)) for rel in (r, s)
-    )
-    return tables, loops
+            back[max(y, row.bit_length() - 1)].append((2 * k, y, succ))
+    q_preds = source.q.converse().successors if source.kind == "int" else None
+    return tuple(map(tuple, forth)), tuple(map(tuple, back)), q_preds
 
 
 def _search(source, target, onto: bool) -> list[tuple[int, ...]]:
@@ -279,14 +264,15 @@ def _search(source, target, onto: bool) -> list[tuple[int, ...]]:
     n, m = source.n, target.n
     if onto and m > n:
         return []
-    loops, forth, back, q_preds = _source_tables(source)
-    tables, (r_loops, s_loops) = _target_tables(target)
-    r_conv, s_conv = tables[1], tables[3]
+    forth, back, q_preds = _source_tables(source)
+    r, s = target.r, target.s
+    tables = (r.rows, r.converse().rows, s.rows, s.converse().rows)
     everything = (1 << m) - 1
     # Target values each point's own loops allow.
     start = [
-        (r_loops if r_loop else everything) & (s_loops if s_loop else everything)
-        for r_loop, s_loop in loops
+        (r.loops if source.r.loops >> x & 1 else everything)
+        & (s.loops if source.s.loops >> x & 1 else everything)
+        for x in range(n)
     ]
     image = [0] * n
     # bit[x] == 1 << image[x] for every assigned x.
@@ -297,7 +283,7 @@ def _search(source, target, onto: bool) -> list[tuple[int, ...]]:
         if x == n:
             # Forth, back and onto-ness are enforced by the search; the
             # converse q-predecessor condition (`_condition4`) is not.
-            if q_preds is None or _converse_holds(image, q_preds, r_conv, s_conv):
+            if q_preds is None or _converse_holds(image, q_preds, tables[1], tables[3]):
                 out.append(tuple(image))
             return
         # Forth: x's value must be a successor of the image of every
@@ -348,7 +334,7 @@ def _relation_shape(rel: Relation) -> tuple[int, int, int, int]:
             for x in bits(grown):
                 reach |= rows[x] | conv[x]
         left &= ~reach
-    strict = [row & ~back for row, back in zip(rows, conv)]
+    strict = [row ^ both for row, both in zip(rows, rel.both_ways.rows)]
     # A strict successor of x has fewer successors than x, so the points
     # are visited after every strict successor of theirs.
     height = [0] * rel.n

@@ -26,10 +26,10 @@ above.  `truth_set` runs the same evaluator on a block of one valuation.
 
 Nothing is rebuilt per call, and every cache is bounded: `_compile` keeps a
 program per pool (programs name the relations "r" and "s" rather than hold
-them, so they do not depend on the frame), `_successors` the successor
-lists per relation, and `_layout` the valuation numbering with its letter
-rows, per (order, letter count) on intuitionistic frames and per (point
-count, letter count) on modal ones.
+them, so they do not depend on the frame), and `_layout` the valuation
+numbering with its letter rows, per (order, letter count) on intuitionistic
+frames and per (point count, letter count) on modal ones.  The successor
+lists the programs quantify over are kept on each `Relation`.
 """
 
 from __future__ import annotations
@@ -91,13 +91,16 @@ class Valuation:
     """Letter-to-point-set assignment on a fixed frame.
 
     Stored as (letter, mask) pairs sorted by letter so that valuations are
-    hashable and compare by content.
+    hashable and compare by content; the constructor raises ValueError
+    unless the letters strictly increase.
     """
 
     frame: Frame
     masks: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
+        if any(a >= b for (a, _), (b, _) in zip(self.masks, self.masks[1:])):
+            raise ValueError("valuation letters must be distinct and sorted")
         # A negative mask has every high bit set, so the shift catches it too.
         for name, mask in self.masks:
             if mask >> self.frame.n:
@@ -215,15 +218,9 @@ def _compile(
     return tuple(slots), roots, tuple(letters)
 
 
-@lru_cache(maxsize=4096)
-def _successors(rel: Relation) -> tuple[tuple[int, ...], ...]:
-    """Per point, its successor indices under `rel`, ascending."""
-    return tuple(tuple(bits(row)) for row in rel.rows)
-
-
 def _relations(frame) -> dict[str, tuple[tuple[int, ...], ...]]:
     """The successor lists a program's "r"/"s" labels name on `frame`."""
-    return {"r": _successors(frame.r), "s": _successors(frame.s)}
+    return {"r": frame.r.successors, "s": frame.s.successors}
 
 
 def _run(

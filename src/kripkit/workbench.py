@@ -172,11 +172,12 @@ def _run_grz_finite(bound: int) -> tuple[int, list[str]]:
     failures = []
     for n in range(1, bound + 1):
         names = tuple(f"x{i}" for i in range(n))
+        identity = Relation.identity(n)
         for rel in quasi_orders(n):
             instances += 1
             by_max = grz_max_check(rel)
             by_order = rel.is_antisymmetric()
-            frame = MS4Frame(names, rel, Relation.identity(n))
+            frame = MS4Frame(names, rel, identity)
             by_validity = semantics.frame_validates(frame, grz)
             if not (by_max == by_order == by_validity):
                 failures.append(

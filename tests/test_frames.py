@@ -1,7 +1,7 @@
 """Relation and frame layer: bitmask relations, frame conditions, JSON."""
 
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +114,17 @@ def converse_oracle(rel: Relation) -> Relation:
     return Relation(rel.n, tuple(rel.preimage(1 << j) for j in range(rel.n)))
 
 
+# The row-by-row reflexive witness search that reading the loop mask
+# replaced.
+
+
+def reflexive_witness_rows(rel: Relation):
+    for i, row in enumerate(rel.rows):
+        if not row >> i & 1:
+            return (i,)
+    return None
+
+
 def max_points(rel: Relation, subset) -> list[int]:
     """Maximal elements of `subset` under `rel`: points whose only successor
     inside the subset is themselves.  Inside a proper cluster this is empty,
@@ -139,6 +150,7 @@ def grz_max_check_oracle(rel: Relation) -> bool:
 
 WITNESS_ORACLES = [
     (frames._reflexive_witness, reflexive_witness_oracle),
+    (frames._reflexive_witness, reflexive_witness_rows),
     (frames._transitive_witness, transitive_witness_oracle),
     (frames._antisymmetric_witness, antisymmetric_witness_oracle),
     (frames._symmetric_witness, symmetric_witness_oracle),
@@ -326,6 +338,19 @@ class TestRelation:
     def test_converse_is_computed_once(self, rel):
         assert rel.converse() is rel.converse()
         assert rel.converse() == converse_oracle(rel)
+
+    def test_derived_values_match_their_derivations(self):
+        # Every relation on 3 points, reflexive or not, and every quasi-order
+        # on 4: each value equals the derivation it replaced and is kept on
+        # the relation after the first access.
+        every = [Relation(3, rows) for rows in product(range(8), repeat=3)]
+        for rel in [*every, *quasi_orders(4)]:
+            assert rel.successors == tuple(tuple(bits(row)) for row in rel.rows)
+            assert rel.loops == mask_of(x for x in range(rel.n) if rel.has(x, x))
+            assert rel.both_ways == rel.meet(rel.converse())
+            assert {"successors", "loops", "both_ways"} <= vars(rel).keys()
+            assert rel.successors is rel.successors
+            assert rel.both_ways is rel.both_ways
 
     @given(relations())
     def test_preimage_is_converse_image(self, rel):

@@ -111,6 +111,18 @@ class TestValuation:
         v = from_points(two_point_frame, {"q": [1], "p": [1]})
         assert [name for name, _ in v.masks] == ["p", "q"]
 
+    @pytest.mark.parametrize(
+        "masks", [(("p", 1), ("p", 2)), (("q", 1), ("p", 2)), (("p", 1), ("q", 2), ("q", 2))]
+    )
+    def test_rejects_repeated_or_unsorted_letters(self, two_point_frame, masks):
+        # Built directly, a repeated letter would read one mask in `mask`
+        # and evaluate another, and reordered pairs would compare unequal.
+        with pytest.raises(ValueError, match="distinct and sorted"):
+            Valuation(two_point_frame, masks)
+        assert Valuation(two_point_frame, (("p", 1), ("q", 2))) == Valuation.from_masks(
+            two_point_frame, {"q": 2, "p": 1}
+        )
+
     @pytest.mark.parametrize("mask", [0b100, 0b111, -1, -0b10])
     def test_rejects_points_outside_the_frame(self, two_point_frame, cluster_frame, mask):
         # Refused when built: evaluated, such a mask would index past the
@@ -633,7 +645,7 @@ class TestValiditiesContract:
 
 
 def _clear_caches():
-    for cached in (semantics._compile, semantics._successors, semantics._layout):
+    for cached in (semantics._compile, semantics._layout):
         cached.cache_clear()
 
 

@@ -20,6 +20,7 @@ from kripkit import cli, morphisms, workbench
 from kripkit.cli import main
 from kripkit.enumeration import FILTERS, EnumerationConfig, enumerate_frames
 from kripkit.frames import (
+    MAX_POINTS,
     BoundExceeded,
     InvalidFrameError,
     MS4Frame,
@@ -338,6 +339,18 @@ def test_cli_check_frame_witnesses_are_pinned(tmp_path, capsys, data, expected):
     path.write_text(json.dumps(data))
     assert main(["check-frame", str(path)]) == 1
     assert capsys.readouterr().out == expected
+
+
+def test_cli_frame_file_over_the_point_cap_names_the_points(tmp_path, capsys):
+    # The point count is checked before the relations are built, so the
+    # message is the frame's own, not the relation size check's.
+    n = MAX_POINTS + 1
+    data = {"kind": "int", "points": [f"x{i}" for i in range(n)], "R": [], "Q": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    for argv in (["check-frame", str(path)], ["sigma", "--raw", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {n} points exceeds cap {MAX_POINTS}\n"
 
 
 def test_cli_deeply_nested_frame_file_is_an_input_error(tmp_path, capsys):
