@@ -4,6 +4,13 @@ Verbs cover the whole workbench: frame validation, formula checking,
 translation, the two frame constructions, reduction search, enumeration, and
 the named experiments.  Exit codes: 0 all checks passed, 1 a check failed
 (with a printed witness), 2 usage or input error.
+
+One table, `_VERBS`, gives each verb its help line and the function that
+adds its arguments and handler to a parser.  A call that starts with a verb
+is parsed by that verb's own parser alone; the full parser, with every verb
+as a subparser, is built only for what needs it: top-level help, a missing
+or unknown verb, and arguments the verb does not know, so those keep its
+messages.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ from .workbench import (
 
 _FORCED_LETTER_CAP = 8
 _WITNESS_DISPLAY_CAP = 5
+# The one-line JSON form of `enumerate`, which `json.dumps` would build anew
+# for every frame.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
 def _print_json(payload) -> None:
@@ -142,8 +152,8 @@ def _cmd_enumerate(args) -> int:
     if args.json:
         _print_json([frame_to_json_dict(f) for f in frames_found])
     else:
-        for frame in frames_found:
-            print(json.dumps(frame_to_json_dict(frame), separators=(",", ":")))
+        encode = _COMPACT.encode
+        sys.stdout.write("".join([encode(frame_to_json_dict(f)) + "\n" for f in frames_found]))
     return 0
 
 
@@ -171,23 +181,13 @@ def _cmd_experiment(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process, since `main` may be
-    called many times in one.  Parsing leaves it unchanged: argparse copies
-    the `--filter` default before appending to it."""
-    parser = argparse.ArgumentParser(
-        prog="kripkit",
-        description="finite-model workbench for monadic intuitionistic and modal logics",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("check-frame", help="report which frame conditions a file violates")
+def _add_check_frame(p) -> None:
     p.add_argument("frame", help="path to a frame JSON file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=_cmd_check_frame)
 
-    p = sub.add_parser("validate-formula", help="search a frame for a countermodel")
+
+def _add_validate_formula(p) -> None:
     p.add_argument("frame", help="path to a frame JSON file")
     p.add_argument("formula", help="formula text in the frame's language")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -199,33 +199,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_validate_formula)
 
-    p = sub.add_parser("translate", help="print the boxed and predicate translations")
+
+def _add_translate(p) -> None:
     p.add_argument("formula", help="intuitionistic formula text")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=_cmd_translate)
 
-    p = sub.add_parser("skeleton", help="quotient an ms4 frame by its r-clusters")
+
+def _add_skeleton(p) -> None:
     p.add_argument("frame", help="path to an ms4 frame JSON file")
     p.add_argument("--json", action="store_true", help="include the projection classes")
     p.add_argument("--raw", action="store_true", help="skip frame validation on load")
     p.add_argument("-o", "--out", help="write the resulting frame to this file")
     p.set_defaults(handler=_cmd_skeleton)
 
-    p = sub.add_parser("sigma", help="expand an int frame to an ms4 frame")
+
+def _add_sigma(p) -> None:
     p.add_argument("frame", help="path to an int frame JSON file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--raw", action="store_true", help="skip frame validation on load")
     p.add_argument("-o", "--out", help="write the resulting frame to this file")
     p.set_defaults(handler=_cmd_sigma)
 
-    p = sub.add_parser("morphisms", help="enumerate the reductions between two frames")
+
+def _add_morphisms(p) -> None:
     p.add_argument("source", help="path to the source frame JSON file")
     p.add_argument("target", help="path to the target frame JSON file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--raw", action="store_true", help="skip frame validation on load")
     p.set_defaults(handler=_cmd_morphisms)
 
-    p = sub.add_parser("enumerate", help="list frames up to isomorphism, one JSON per line")
+
+def _add_enumerate(p) -> None:
     p.add_argument("--kind", choices=("int", "ms4"), required=True)
     p.add_argument("--bound", type=int, default=3, help="largest point count (default 3)")
     p.add_argument(
@@ -238,7 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit one JSON array instead")
     p.set_defaults(handler=_cmd_enumerate)
 
-    p = sub.add_parser("experiment", help="run a named experiment (or all of them)")
+
+def _add_experiment(p) -> None:
     p.add_argument(
         "id",
         metavar="id",
@@ -248,13 +254,57 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(handler=_cmd_experiment)
 
+
+# Each verb: its help line in the command list, and the function that adds
+# its arguments and handler to a parser.
+_VERBS = {
+    "check-frame": ("report which frame conditions a file violates", _add_check_frame),
+    "validate-formula": ("search a frame for a countermodel", _add_validate_formula),
+    "translate": ("print the boxed and predicate translations", _add_translate),
+    "skeleton": ("quotient an ms4 frame by its r-clusters", _add_skeleton),
+    "sigma": ("expand an int frame to an ms4 frame", _add_sigma),
+    "morphisms": ("enumerate the reductions between two frames", _add_morphisms),
+    "enumerate": ("list frames up to isomorphism, one JSON per line", _add_enumerate),
+    "experiment": ("run a named experiment (or all of them)", _add_experiment),
+}
+
+
+@cache
+def _verb_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one verb, the same as the full parser's subparser for
+    it, built once per process.  Parsing leaves it unchanged: argparse
+    copies the `--filter` default before appending to it."""
+    parser = argparse.ArgumentParser(prog=f"kripkit {name}")
+    _VERBS[name][1](parser)
+    return parser
+
+
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The full command-line parser, with every verb as a subparser, built
+    once per process."""
+    parser = argparse.ArgumentParser(
+        prog="kripkit",
+        description="finite-model workbench for monadic intuitionistic and modal logics",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help, add_arguments) in _VERBS.items():
+        add_arguments(sub.add_parser(name, help=help))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        # The full parser hands everything after the verb to the verb's
+        # subparser and then refuses what that left over.  So a verb's own
+        # parser gives the same result and the same messages, except for the
+        # leftovers, which the full parser then reports.
+        args, extra = None, None
+        if argv and argv[0] in _VERBS:
+            args, extra = _verb_parser(argv[0]).parse_known_args(argv[1:])
+        if args is None or extra:
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

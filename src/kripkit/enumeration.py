@@ -47,6 +47,8 @@ _INT_FILTERS = frozenset(("m_plus",))
 _MS4_FILTERS = frozenset(("mgrz", "m_plus_grz"))
 # First byte of a canonical key, per frame kind.
 _KIND_BYTE = {"int": b"I", "ms4": b"M"}
+# Point names of the frames a canonical key spells out.
+_POINT_NAMES = tuple(f"x{i}" for i in range(CANONICAL_MAX))
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,7 @@ def canonical_form(frame) -> bytes:
 def _from_key(kind: str, key: bytes):
     """The canonical `kind` frame a key spells out, points named x0, x1, ..."""
     n = key[1]
-    names = tuple(f"x{i}" for i in range(n))
+    names = _POINT_NAMES[:n]
     first = Relation(n, tuple(key[2 : 2 + n]))
     second = Relation(n, tuple(key[2 + n :]))
     return FRAME_TYPES[kind](names, first, second)

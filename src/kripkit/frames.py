@@ -342,10 +342,14 @@ def _decomposition_witness(frame: IntFrame) -> tuple[int, ...] | None:
 def _commute_witness(r: Relation, e: Relation) -> tuple[int, ...] | None:
     """First (x, y, z) in index order with x e y and y r z but no r-step
     then e-step from x to z, or None when e-then-r lies inside r-then-e."""
-    for x in range(r.n):
-        around = e.image(r.rows[x])
-        for y in bits(e.rows[x]):
-            missing = r.rows[y] & ~around
+    r_rows, e_rows = r.rows, e.rows
+    for x, row in enumerate(r_rows):
+        # e.image(row), less its mask check: row is a row of r.
+        around = 0
+        for z in bits(row):
+            around |= e_rows[z]
+        for y in bits(e_rows[x]):
+            missing = r_rows[y] & ~around
             if missing:
                 return (x, y, bits(missing)[0])
     return None

@@ -262,8 +262,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # Deepest nesting `parse` accepts: of connectives in the result (the depth
 # each node stores), and of prefixes and parentheses in the text.  Deeper
 # input raises ParseError rather than exhausting the interpreter stack, here
-# or in the recursive passes that follow (`desugar`, `godel_translate`).
-# Formulas built in Python have no such cap.
+# or in the recursive passes that follow (`desugar`, and `godel_translate`,
+# which recurses up to this depth).  Formulas built in Python have no such
+# cap.
 MAX_NESTING = 100
 # Most nodes the result of `parse` may have, counted as a tree (the size
 # each node stores).  `A <-> B` shares A and B between its two implications,
@@ -470,8 +471,15 @@ def godel_translate(phi: Formula) -> Formula:
     `~ forall ~` of the translated `A`.  Every input node is checked to be
     intuitionistic, so each output node is a modal connective over modal
     arguments, with the arity and letter names of the input, and is built
-    with `_build`.
+    with `_build`.  A formula `parse` accepts is translated by recursion; a
+    deeper one, which only Python code can build, with an explicit stack.
     """
+    if phi._depth > MAX_NESTING:
+        return _godel_fold(phi)
+    return _godel(phi)
+
+
+def _godel(phi: Formula) -> Formula:
     if phi.lang != INT:
         raise ValueError("translation expects an intuitionistic formula")
     kind = phi.kind
@@ -480,19 +488,52 @@ def godel_translate(phi: Formula) -> Formula:
     if kind == "top" or kind == "bottom":
         return _build(MODAL, kind, "", ())
     if kind == "and" or kind == "or":
-        return _build(
-            MODAL, kind, "", (godel_translate(phi.args[0]), godel_translate(phi.args[1]))
-        )
+        return _build(MODAL, kind, "", (_godel(phi.args[0]), _godel(phi.args[1])))
     if kind == "implies":
-        args = (godel_translate(phi.args[0]), godel_translate(phi.args[1]))
+        args = (_godel(phi.args[0]), _godel(phi.args[1]))
     elif kind == "not" or kind == "forall":
-        args = (godel_translate(phi.args[0]),)
+        args = (_godel(phi.args[0]),)
     elif kind == "exists":
-        inner = _build(MODAL, "not", "", (godel_translate(phi.args[0]),))
+        inner = _build(MODAL, "not", "", (_godel(phi.args[0]),))
         return _build(MODAL, "not", "", (_build(MODAL, "forall", "", (inner,)),))
     else:
         raise ValueError(f"cannot translate formula kind {kind!r}")
     return _build(MODAL, "box", "", (_build(MODAL, kind, "", args),))
+
+
+# Kinds whose translation is boxed, and those kept bare, by `_godel_fold`.
+_GODEL_BOXED = frozenset(("letter", "implies", "not", "forall"))
+_GODEL_BARE = frozenset(("top", "bottom", "and", "or"))
+
+
+def _godel_fold(phi: Formula) -> Formula:
+    """`_godel` with an explicit stack: each node is translated, by the same
+    rules, once its arguments are.  `done` holds the translated arguments
+    of the nodes still open, in order."""
+    done: list[Formula] = []
+    stack = [(phi, False)]
+    while stack:
+        node, ready = stack.pop()
+        if not ready:
+            stack.append((node, True))
+            stack.extend((arg, False) for arg in reversed(node.args))
+            continue
+        if node.lang != INT:
+            raise ValueError("translation expects an intuitionistic formula")
+        kind, arity = node.kind, len(node.args)
+        args = tuple(done[len(done) - arity :])
+        del done[len(done) - arity :]
+        if kind == "exists":
+            inner = _build(MODAL, "not", "", args)
+            out = _build(MODAL, "not", "", (_build(MODAL, "forall", "", (inner,)),))
+        elif kind in _GODEL_BOXED:
+            out = _build(MODAL, "box", "", (_build(MODAL, kind, node.name, args),))
+        elif kind in _GODEL_BARE:
+            out = _build(MODAL, kind, "", args)
+        else:
+            raise ValueError(f"cannot translate formula kind {kind!r}")
+        done.append(out)
+    return done[0]
 
 
 def star_translate(phi: Formula) -> str:

@@ -917,3 +917,6 @@ def test_deep_formula_built_in_python(two_point_frame):
     text = "~ " * 5000 + "p"
     assert found.to_json_dict()["formula"] == str(phi) == print_formula(phi) == text
     assert star_translate(phi) == text + "(x)"
+    translated = godel_translate(phi)
+    assert translated.depth() == 10001
+    assert print_formula(translated) == "box ~ " * 5000 + "box p"

@@ -733,6 +733,48 @@ def test_trusted_nodes_match_checked_construction(lang):
             assert_same_nodes(translated, oracle_godel(parsed))
 
 
+def assert_fold_matches_recursion(phi: Formula) -> None:
+    # Both paths of `godel_translate`, whichever one its depth picks.
+    assert_same_nodes(syntax._godel_fold(phi), syntax._godel(phi))
+
+
+@settings(max_examples=200)
+@given(phi=formulas(INT), other=formulas(INT))
+def test_godel_fold_matches_the_recursion(phi, other):
+    assert_fold_matches_recursion(phi)
+    # A `<->` chain, whose sides are shared nodes.
+    iff = parse(" <-> ".join(f"({print_formula(f)})" for f in (phi, other, phi)))
+    assert_fold_matches_recursion(iff)
+
+
+def test_godel_fold_matches_the_recursion_on_the_corpora():
+    for name in ("mipc_axioms", "monadic_casari"):
+        for phi in corpus(name):
+            assert_fold_matches_recursion(phi)
+    for phi in (parse("p", MODAL), parse("box p -> p", MODAL)):
+        with pytest.raises(ValueError, match="intuitionistic"):
+            syntax._godel_fold(phi)
+    phi = parse("p & p")
+    object.__setattr__(phi, "kind", "xor")
+    with pytest.raises(ValueError, match="xor"):
+        syntax._godel_fold(phi)
+
+
+def test_godel_translate_recurses_up_to_the_parse_limit(monkeypatch):
+    # Every formula `parse` accepts takes the recursion; one level deeper
+    # takes the fold, with the same result.
+    def refuse(phi):
+        raise AssertionError("the other path was taken")
+
+    deepest = parse("~ " * MAX_NESTING + "p")
+    expected = oracle_godel(deepest)
+    with monkeypatch.context() as patch:
+        patch.setattr(syntax, "_godel_fold", refuse)
+        assert_same_nodes(godel_translate(deepest), expected)
+    monkeypatch.setattr(syntax, "_godel", refuse)
+    assert_same_nodes(godel_translate(neg(deepest)), box(neg(expected)))
+
+
 class TestStarTranslation:
     @pytest.mark.parametrize(
         "text,expected",

@@ -1,6 +1,7 @@
 """Tests for the experiment registry, report reproducibility, frame file I/O,
 and the command line."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -53,6 +54,17 @@ ALL_IDS = [
     "sigma-functor",
     "lifting",
     "companion-witness",
+]
+
+VERBS = [
+    "check-frame",
+    "validate-formula",
+    "translate",
+    "skeleton",
+    "sigma",
+    "morphisms",
+    "enumerate",
+    "experiment",
 ]
 
 BAD_FRAME_JSON = {
@@ -475,6 +487,18 @@ def test_cli_enumerate(capsys):
     assert main(["enumerate", "--kind", "ms4", "--bound", "9"]) == 2
 
 
+def test_cli_enumerate_write_error_is_reported(capsys, monkeypatch):
+    # The lines go out in one write; when it fails, `main` still reports it
+    # as one error line with exit code 2.
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["enumerate", "--kind", "int", "--bound", "2"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
 def test_cli_experiment(capsys):
     assert main(["experiment", "counterexample"]) == 0
     out = capsys.readouterr().out
@@ -526,17 +550,164 @@ def test_cli_usage_errors(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def fresh_process_stdout(argv: list[str]) -> str:
-    """What `kripkit *argv` prints in a new interpreter, which builds its
-    own parser."""
+def fresh_interpreter_stdout(*args: str) -> str:
+    """What `python *args` prints in a new interpreter that imports this
+    kripkit."""
     src = os.path.dirname(os.path.dirname(kripkit.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    command = [sys.executable, "-m", "kripkit.cli", *argv]
+    command = [sys.executable, *args]
     return subprocess.run(command, capture_output=True, text=True, env=env, check=True).stdout
+
+
+def fresh_process_stdout(argv: list[str]) -> str:
+    """What `kripkit *argv` prints in a new interpreter, which builds its
+    own parsers."""
+    return fresh_interpreter_stdout("-m", "kripkit.cli", *argv)
 
 
 def test_cli_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+    assert list(cli._VERBS) == VERBS
+    for name in VERBS:
+        assert cli._verb_parser(name) is cli._verb_parser(name)
+
+
+def test_cli_verb_call_never_builds_the_full_parser():
+    # A fresh interpreter, since this one's tests have built the full parser.
+    script = (
+        "import io, contextlib\n"
+        "from kripkit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['enumerate', '--kind', 'int', '--bound', '2'])\n"
+        "print(code, cli._build_parser.cache_info().currsize,"
+        " cli._verb_parser.cache_info().currsize)\n"
+    )
+    assert fresh_interpreter_stdout("-c", script).split() == ["0", "0", "1"]
+
+
+def oracle_parser():
+    """The full parser as it was before the verbs had their own parsers, all
+    of it in one function: `main` must answer every argv as this does."""
+    parser = argparse.ArgumentParser(
+        prog="kripkit",
+        description="finite-model workbench for monadic intuitionistic and modal logics",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+
+    p = sub.add_parser("check-frame", help="report which frame conditions a file violates")
+    p.add_argument("frame", help="path to a frame JSON file")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.set_defaults(handler=cli._cmd_check_frame)
+
+    p = sub.add_parser("validate-formula", help="search a frame for a countermodel")
+    p.add_argument("frame", help="path to a frame JSON file")
+    p.add_argument("formula", help="formula text in the frame's language")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.add_argument("--raw", action="store_true", help="skip frame validation on load")
+    p.add_argument(
+        "--force",
+        action="store_true",
+        help="lift the letter and point caps on the valuation search",
+    )
+    p.set_defaults(handler=cli._cmd_validate_formula)
+
+    p = sub.add_parser("translate", help="print the boxed and predicate translations")
+    p.add_argument("formula", help="intuitionistic formula text")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.set_defaults(handler=cli._cmd_translate)
+
+    p = sub.add_parser("skeleton", help="quotient an ms4 frame by its r-clusters")
+    p.add_argument("frame", help="path to an ms4 frame JSON file")
+    p.add_argument("--json", action="store_true", help="include the projection classes")
+    p.add_argument("--raw", action="store_true", help="skip frame validation on load")
+    p.add_argument("-o", "--out", help="write the resulting frame to this file")
+    p.set_defaults(handler=cli._cmd_skeleton)
+
+    p = sub.add_parser("sigma", help="expand an int frame to an ms4 frame")
+    p.add_argument("frame", help="path to an int frame JSON file")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.add_argument("--raw", action="store_true", help="skip frame validation on load")
+    p.add_argument("-o", "--out", help="write the resulting frame to this file")
+    p.set_defaults(handler=cli._cmd_sigma)
+
+    p = sub.add_parser("morphisms", help="enumerate the reductions between two frames")
+    p.add_argument("source", help="path to the source frame JSON file")
+    p.add_argument("target", help="path to the target frame JSON file")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.add_argument("--raw", action="store_true", help="skip frame validation on load")
+    p.set_defaults(handler=cli._cmd_morphisms)
+
+    p = sub.add_parser("enumerate", help="list frames up to isomorphism, one JSON per line")
+    p.add_argument("--kind", choices=("int", "ms4"), required=True)
+    p.add_argument("--bound", type=int, default=3, help="largest point count (default 3)")
+    p.add_argument(
+        "--filter",
+        action="append",
+        default=[],
+        metavar="NAME",
+        help="keep only frames passing this named filter (repeatable)",
+    )
+    p.add_argument("--json", action="store_true", help="emit one JSON array instead")
+    p.set_defaults(handler=cli._cmd_enumerate)
+
+    p = sub.add_parser("experiment", help="run a named experiment (or all of them)")
+    p.add_argument(
+        "id",
+        metavar="id",
+        help="experiment id or 'all': " + ", ".join(experiment_ids()),
+    )
+    p.add_argument("--bound", type=int, default=None, help="override the size bound")
+    p.add_argument("--json", action="store_true", help="machine-readable report")
+    p.set_defaults(handler=cli._cmd_experiment)
+
+    return parser
+
+
+def oracle_main(argv) -> int:
+    try:
+        args = oracle_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.handler(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+PARSER_CASES = (
+    [[verb, flag] for verb in VERBS for flag in ("-h", "--help")]
+    + [["-h"], ["--help"], ["-h", "enumerate"], [], ["nope"], ["--bogus", "enumerate"]]
+    # Each verb short of its required arguments.
+    + [[verb] for verb in VERBS]
+    + [["validate-formula", "f0"], ["morphisms", "f0"], ["enumerate", "--bound", "2"]]
+    + [
+        ["enumerate", "--kind", "s4"],
+        ["enumerate", "--bound", "x"],
+        ["enumerate", "--kind", "int", "--bound", "x"],
+        ["enumerate", "--ki", "int", "--bou", "2"],
+        ["enumerate", "--kind=ms4"],
+        ["enumerate", "--kind", "int", "--bogus"],
+        ["enumerate", "--bogus", "--kind", "int", "-h"],
+        ["experiment", "counterexample", "extra"],
+        ["translate", "--", "p"],
+        ["translate", "--", "-p"],
+        ["translate", "p", "--json", "--", "q"],
+        ["skeleton", "-o"],
+        ["--", "translate", "p"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_cli_parses_as_the_full_parser_did(argv, capsys, monkeypatch):
+    # Help is wrapped to the terminal width, which COLUMNS sets.
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(list(argv))
+    got = capsys.readouterr()
+    want_code = oracle_main(list(argv))
+    want = capsys.readouterr()
+    assert (got.out, got.err, code) == (want.out, want.err, want_code)
 
 
 def test_cli_reused_parser_keeps_nothing_from_earlier_calls(capsys):
@@ -624,20 +795,7 @@ def cli_argv(draw):
     def flags(*names):
         return [name for name in names if draw(st.booleans())]
 
-    verb = draw(
-        st.sampled_from(
-            [
-                "check-frame",
-                "validate-formula",
-                "translate",
-                "skeleton",
-                "sigma",
-                "morphisms",
-                "enumerate",
-                "experiment",
-            ]
-        )
-    )
+    verb = draw(st.sampled_from(VERBS))
     if verb == "check-frame":
         argv = [verb, "f0", *flags("--json")]
     elif verb == "validate-formula":
