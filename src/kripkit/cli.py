@@ -6,11 +6,11 @@ the named experiments.  Exit codes: 0 all checks passed, 1 a check failed
 (with a printed witness), 2 usage or input error.
 
 One table, `_VERBS`, gives each verb its help line and the function that
-adds its arguments and handler to a parser.  A call that starts with a verb
-is parsed by that verb's own parser alone; the full parser, with every verb
-as a subparser, is built only for what needs it: top-level help, a missing
-or unknown verb, and arguments the verb does not know, so those keep its
-messages.
+adds its arguments and handler to a parser.  The parser of a call that
+starts with a verb holds that verb's subparser alone; any other call gets
+every verb.  Either way the messages are the full parser's: it hands
+everything after the verb to that verb's subparser, and its usage line
+shows only `command`.
 """
 
 from __future__ import annotations
@@ -270,41 +270,26 @@ _VERBS = {
 
 
 @cache
-def _verb_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one verb, the same as the full parser's subparser for
-    it, built once per process.  Parsing leaves it unchanged: argparse
+def _build_parser(verbs: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The command-line parser with a subparser for each of `verbs`, built
+    once per process and tuple.  Parsing leaves it unchanged: argparse
     copies the `--filter` default before appending to it."""
-    parser = argparse.ArgumentParser(prog=f"kripkit {name}")
-    _VERBS[name][1](parser)
-    return parser
-
-
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The full command-line parser, with every verb as a subparser, built
-    once per process."""
     parser = argparse.ArgumentParser(
         prog="kripkit",
         description="finite-model workbench for monadic intuitionistic and modal logics",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (help, add_arguments) in _VERBS.items():
+    for name in verbs:
+        help, add_arguments = _VERBS[name]
         add_arguments(sub.add_parser(name, help=help))
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    verbs = (argv[0],) if argv and argv[0] in _VERBS else tuple(_VERBS)
     try:
-        # The full parser hands everything after the verb to the verb's
-        # subparser and then refuses what that left over.  So a verb's own
-        # parser gives the same result and the same messages, except for the
-        # leftovers, which the full parser then reports.
-        args, extra = None, None
-        if argv and argv[0] in _VERBS:
-            args, extra = _verb_parser(argv[0]).parse_known_args(argv[1:])
-        if args is None or extra:
-            args = _build_parser().parse_args(argv)
+        args = _build_parser(verbs).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

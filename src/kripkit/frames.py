@@ -463,12 +463,16 @@ def is_finite_mgrz(frame: MS4Frame) -> bool:
 # with index pairs.  Key names are part of the external interface.
 
 
+def _json_pairs(rel: Relation) -> list[list[int]]:
+    return [[i, j] for i, row in enumerate(rel.rows) for j in bits(row)]
+
+
 def frame_to_json_dict(frame: Frame) -> dict:
     return {
         "kind": frame.kind,
         "points": list(frame.points),
-        "R": [list(p) for p in frame.r.pairs()],
-        frame.second.upper(): [list(p) for p in frame.s.pairs()],
+        "R": _json_pairs(frame.r),
+        frame.second.upper(): _json_pairs(frame.s),
     }
 
 

@@ -12,8 +12,9 @@ Concrete syntax, loosest to tightest: ``<->`` (desugared at parse time),
 ``forall``, ``exists``, ``box``.  ``T`` and ``F`` are the constants; letters
 match ``[a-z][a-z0-9_]*``.  One table, `_BINARY`, states each binary
 connective's symbol, precedence and associativity; the parser's
-operator-precedence loop and the printers both read it.  The printers walk
-the formula with an explicit stack, so they handle any depth.
+operator-precedence loop and the printers both read it.  Every pass over a
+formula (the printers, `desugar` and `godel_translate`) walks it with an
+explicit stack, so it handles any depth.
 """
 
 from __future__ import annotations
@@ -260,16 +261,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 # Deepest nesting `parse` accepts: of connectives in the result (the depth
-# each node stores), and of prefixes and parentheses in the text.  Deeper
-# input raises ParseError rather than exhausting the interpreter stack, here
-# or in the recursive passes that follow (`desugar`, and `godel_translate`,
-# which recurses up to this depth).  Formulas built in Python have no such
-# cap.
+# each node stores), and of prefixes and parentheses in the text.  The parser
+# itself recurses once per prefix and parenthesis, so deeper input raises
+# ParseError rather than exhausting the interpreter stack.  Formulas built in
+# Python have no such cap.
 MAX_NESTING = 100
 # Most nodes the result of `parse` may have, counted as a tree (the size
 # each node stores).  `A <-> B` shares A and B between its two implications,
-# so every link of a `<->` chain doubles the tree that the recursive passes
-# walk; larger results raise ParseError instead of hanging them.
+# so every link of a `<->` chain doubles the tree that each later pass walks
+# node by node; larger results raise ParseError instead of hanging them.
 MAX_SIZE = 10_000
 
 _PREFIX = {"~": "not", "forall": "forall", "exists": "exists", "box": "box"}
@@ -450,14 +450,36 @@ def print_formula(phi: Formula) -> str:
     return _render(phi, False)
 
 
+def _bottom_up(phi: Formula) -> list[Formula]:
+    """Every node of `phi` as a tree, each after its arguments and those left
+    to right: the preorder that takes the last argument first, reversed.  A
+    fold over this list keeps a stack of results, whose top entries are then
+    the current node's arguments, in order."""
+    order = []
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack += node.args
+    order.reverse()
+    return order
+
+
 def desugar(phi: Formula) -> Formula:
-    """Rewrite every `~ A` into `A -> F`; the result has no "not" nodes."""
-    args = tuple(desugar(arg) for arg in phi.args)
-    if phi.kind == "not":
-        return implies(args[0], bottom(phi.lang))
-    if args == phi.args:
-        return phi
-    return Formula(phi.lang, phi.kind, phi.name, args)
+    """Rewrite every `~ A` into `A -> F`; the result has no "not" nodes.  A
+    subformula without one is kept as the same object."""
+    done: list[Formula] = []
+    for node in _bottom_up(phi):
+        split = len(done) - len(node.args)
+        args = tuple(done[split:])
+        del done[split:]
+        if node.kind == "not":
+            done.append(implies(args[0], bottom(node.lang)))
+        elif args == node.args:
+            done.append(node)
+        else:
+            done.append(Formula(node.lang, node.kind, node.name, args))
+    return done[0]
 
 
 # --- translations ----------------------------------------------------------
@@ -468,68 +490,32 @@ def godel_translate(phi: Formula) -> Formula:
 
     Letters, implications, negations, and forall pick up a box; conjunction,
     disjunction, and the constants pass through; `exists A` becomes
-    `~ forall ~` of the translated `A`.  Every input node is checked to be
-    intuitionistic, so each output node is a modal connective over modal
-    arguments, with the arity and letter names of the input, and is built
-    with `_build`.  A formula `parse` accepts is translated by recursion; a
-    deeper one, which only Python code can build, with an explicit stack.
+    `~ forall ~` of the translated `A`.  Only the root's language is
+    checked: the constructor refuses mixed-language formulas, and `_build`
+    callers keep one language, so every node is intuitionistic.  Each output
+    node is then a modal connective over modal arguments, with the arity and
+    letter names of the input, and is built with `_build`.
     """
-    if phi._depth > MAX_NESTING:
-        return _godel_fold(phi)
-    return _godel(phi)
-
-
-def _godel(phi: Formula) -> Formula:
     if phi.lang != INT:
         raise ValueError("translation expects an intuitionistic formula")
-    kind = phi.kind
-    if kind == "letter":
-        return _build(MODAL, "box", "", (_build(MODAL, "letter", phi.name, ()),))
-    if kind == "top" or kind == "bottom":
-        return _build(MODAL, kind, "", ())
-    if kind == "and" or kind == "or":
-        return _build(MODAL, kind, "", (_godel(phi.args[0]), _godel(phi.args[1])))
-    if kind == "implies":
-        args = (_godel(phi.args[0]), _godel(phi.args[1]))
-    elif kind == "not" or kind == "forall":
-        args = (_godel(phi.args[0]),)
-    elif kind == "exists":
-        inner = _build(MODAL, "not", "", (_godel(phi.args[0]),))
-        return _build(MODAL, "not", "", (_build(MODAL, "forall", "", (inner,)),))
-    else:
-        raise ValueError(f"cannot translate formula kind {kind!r}")
-    return _build(MODAL, "box", "", (_build(MODAL, kind, "", args),))
-
-
-# Kinds whose translation is boxed, and those kept bare, by `_godel_fold`.
-_GODEL_BOXED = frozenset(("letter", "implies", "not", "forall"))
-_GODEL_BARE = frozenset(("top", "bottom", "and", "or"))
-
-
-def _godel_fold(phi: Formula) -> Formula:
-    """`_godel` with an explicit stack: each node is translated, by the same
-    rules, once its arguments are.  `done` holds the translated arguments
-    of the nodes still open, in order."""
     done: list[Formula] = []
-    stack = [(phi, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not ready:
-            stack.append((node, True))
-            stack.extend((arg, False) for arg in reversed(node.args))
-            continue
-        if node.lang != INT:
-            raise ValueError("translation expects an intuitionistic formula")
-        kind, arity = node.kind, len(node.args)
-        args = tuple(done[len(done) - arity :])
-        del done[len(done) - arity :]
-        if kind == "exists":
-            inner = _build(MODAL, "not", "", args)
+    for node in _bottom_up(phi):
+        kind = node.kind
+        if kind == "letter":
+            out = _build(MODAL, "box", "", (_build(MODAL, "letter", node.name, ()),))
+        elif kind == "top" or kind == "bottom":
+            out = _build(MODAL, kind, "", ())
+        elif kind == "and" or kind == "or":
+            rhs = done.pop()
+            out = _build(MODAL, kind, "", (done.pop(), rhs))
+        elif kind == "implies":
+            rhs = done.pop()
+            out = _build(MODAL, "box", "", (_build(MODAL, kind, "", (done.pop(), rhs)),))
+        elif kind == "not" or kind == "forall":
+            out = _build(MODAL, "box", "", (_build(MODAL, kind, "", (done.pop(),)),))
+        elif kind == "exists":
+            inner = _build(MODAL, "not", "", (done.pop(),))
             out = _build(MODAL, "not", "", (_build(MODAL, "forall", "", (inner,)),))
-        elif kind in _GODEL_BOXED:
-            out = _build(MODAL, "box", "", (_build(MODAL, kind, node.name, args),))
-        elif kind in _GODEL_BARE:
-            out = _build(MODAL, kind, "", args)
         else:
             raise ValueError(f"cannot translate formula kind {kind!r}")
         done.append(out)

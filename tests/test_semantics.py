@@ -894,8 +894,9 @@ def test_caches_agree_with_oracle_cold_and_warm():
 
 def test_deep_formula_built_in_python(two_point_frame):
     # 5000 negations: no parser limit applies, and hashing, equality, the
-    # walkers, the program cache, the evaluator and the printers must all
-    # cope.  ~~~~p is ~~p, so the first countermodel is that of ~~p.
+    # walkers, the program cache, the evaluator, the printers, the
+    # translation and `desugar` must all cope.  ~~~~p is ~~p, so the first
+    # countermodel is that of ~~p.
     def chain(depth):
         phi = letter("p")
         for _ in range(depth):
@@ -920,3 +921,7 @@ def test_deep_formula_built_in_python(two_point_frame):
     translated = godel_translate(phi)
     assert translated.depth() == 10001
     assert print_formula(translated) == "box ~ " * 5000 + "box p"
+    lowered = letter("p")
+    for _ in range(5000):
+        lowered = implies(lowered, bottom())
+    assert desugar(phi) == lowered

@@ -101,3 +101,31 @@ def test_public_surface():
         if not hasattr(importlib.import_module(f"kripkit.{layer}"), name)
     ]
     assert not missing, missing
+
+
+def test_syntax_passes_do_not_recurse():
+    # Formulas built in Python have no depth cap, so a pass over one must
+    # walk with an explicit stack.  The recursions allowed are bounded:
+    # `_Parser.unary` by MAX_NESTING, `random_formula` by its `max_depth`,
+    # and `_corpus` goes one level down.
+    allowed = {"_Parser.unary", "random_formula", "_corpus"}
+    path = Path(kripkit.__file__).parent / "syntax.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    # (qualified name, definition, how a call to itself is written)
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node, node.name))
+        elif isinstance(node, ast.ClassDef):
+            functions += [
+                (f"{node.name}.{method.name}", method, f"self.{method.name}")
+                for method in node.body
+                if isinstance(method, ast.FunctionDef)
+            ]
+    found = {
+        name
+        for name, func, itself in functions
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == itself
+    }
+    assert found == allowed

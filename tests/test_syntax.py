@@ -625,9 +625,27 @@ class TestPrinter:
         assert print_formula(parse("~ forall ~ p")) == "~ forall ~ p"
 
 
+def oracle_desugar(phi: Formula) -> Formula:
+    """`desugar` as a recursion: rewrite the arguments, then the node."""
+    args = tuple(oracle_desugar(arg) for arg in phi.args)
+    if phi.kind == "not":
+        return implies(args[0], bottom(phi.lang))
+    if args == phi.args:
+        return phi
+    return Formula(phi.lang, phi.kind, phi.name, args)
+
+
 class TestDesugar:
     def test_not_becomes_implies_bottom(self):
         assert desugar(parse("~ p")) == implies(letter("p"), bottom())
+
+    @given(formulas(INT) | formulas(MODAL))
+    def test_matches_the_recursion(self, phi):
+        lowered = desugar(phi)
+        assert_same_nodes(lowered, oracle_desugar(phi))
+        # A formula without "not" comes back as the same object.
+        has_not = any(f.kind == "not" for f in phi.subformulas())
+        assert (lowered is phi) is not has_not
 
     @given(formulas(INT) | formulas(MODAL))
     def test_removes_every_not(self, phi):
@@ -733,46 +751,34 @@ def test_trusted_nodes_match_checked_construction(lang):
             assert_same_nodes(translated, oracle_godel(parsed))
 
 
-def assert_fold_matches_recursion(phi: Formula) -> None:
-    # Both paths of `godel_translate`, whichever one its depth picks.
-    assert_same_nodes(syntax._godel_fold(phi), syntax._godel(phi))
+def assert_matches_the_oracle(phi: Formula) -> None:
+    assert_same_nodes(godel_translate(phi), oracle_godel(phi))
 
 
 @settings(max_examples=200)
 @given(phi=formulas(INT), other=formulas(INT))
 def test_godel_fold_matches_the_recursion(phi, other):
-    assert_fold_matches_recursion(phi)
+    assert_matches_the_oracle(phi)
     # A `<->` chain, whose sides are shared nodes.
     iff = parse(" <-> ".join(f"({print_formula(f)})" for f in (phi, other, phi)))
-    assert_fold_matches_recursion(iff)
+    assert_matches_the_oracle(iff)
 
 
 def test_godel_fold_matches_the_recursion_on_the_corpora():
     for name in ("mipc_axioms", "monadic_casari"):
         for phi in corpus(name):
-            assert_fold_matches_recursion(phi)
+            assert_matches_the_oracle(phi)
+    # The deepest formula `parse` accepts, and one level deeper.
+    deepest = parse("~ " * MAX_NESTING + "p")
+    assert_matches_the_oracle(deepest)
+    assert_matches_the_oracle(neg(deepest))
     for phi in (parse("p", MODAL), parse("box p -> p", MODAL)):
         with pytest.raises(ValueError, match="intuitionistic"):
-            syntax._godel_fold(phi)
+            godel_translate(phi)
     phi = parse("p & p")
     object.__setattr__(phi, "kind", "xor")
     with pytest.raises(ValueError, match="xor"):
-        syntax._godel_fold(phi)
-
-
-def test_godel_translate_recurses_up_to_the_parse_limit(monkeypatch):
-    # Every formula `parse` accepts takes the recursion; one level deeper
-    # takes the fold, with the same result.
-    def refuse(phi):
-        raise AssertionError("the other path was taken")
-
-    deepest = parse("~ " * MAX_NESTING + "p")
-    expected = oracle_godel(deepest)
-    with monkeypatch.context() as patch:
-        patch.setattr(syntax, "_godel_fold", refuse)
-        assert_same_nodes(godel_translate(deepest), expected)
-    monkeypatch.setattr(syntax, "_godel", refuse)
-    assert_same_nodes(godel_translate(neg(deepest)), box(neg(expected)))
+        godel_translate(phi)
 
 
 class TestStarTranslation:

@@ -566,23 +566,29 @@ def fresh_process_stdout(argv: list[str]) -> str:
 
 
 def test_cli_parser_is_built_once():
-    assert cli._build_parser() is cli._build_parser()
     assert list(cli._VERBS) == VERBS
+    every = tuple(VERBS)
+    assert cli._build_parser(every) is cli._build_parser(every)
     for name in VERBS:
-        assert cli._verb_parser(name) is cli._verb_parser(name)
+        assert cli._build_parser((name,)) is cli._build_parser((name,))
+        assert cli._build_parser((name,)) is not cli._build_parser(every)
 
 
 def test_cli_verb_call_never_builds_the_full_parser():
-    # A fresh interpreter, since this one's tests have built the full parser.
+    # A fresh interpreter, since this one's tests have built other parsers.
+    # After the call, asking again for the enumerate parser is a cache hit.
     script = (
-        "import io, contextlib\n"
+        "import argparse, io, contextlib\n"
         "from kripkit import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['enumerate', '--kind', 'int', '--bound', '2'])\n"
-        "print(code, cli._build_parser.cache_info().currsize,"
-        " cli._verb_parser.cache_info().currsize)\n"
+        "built = cli._build_parser.cache_info().currsize\n"
+        "parser = cli._build_parser(('enumerate',))\n"
+        "info = cli._build_parser.cache_info()\n"
+        "(sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]\n"
+        "print(code, built, info.hits, info.currsize, *sub.choices)\n"
     )
-    assert fresh_interpreter_stdout("-c", script).split() == ["0", "0", "1"]
+    assert fresh_interpreter_stdout("-c", script).split() == ["0", "1", "1", "1", "enumerate"]
 
 
 def oracle_parser():
