@@ -22,7 +22,7 @@ from functools import cache
 
 from . import syntax
 from .enumeration import EnumerationConfig, enumerate_frames
-from .frames import MAX_POINTS, Frame, frame_to_json_dict, validate_frame
+from .frames import FRAME_TYPES, MAX_POINTS, Frame, frame_to_json_dict, validate_frame
 from .functors import sigma, skeleton
 from .morphisms import enumerate_reductions
 from .semantics import LANGUAGE, countermodel
@@ -231,7 +231,7 @@ def _add_morphisms(p) -> None:
 
 
 def _add_enumerate(p) -> None:
-    p.add_argument("--kind", choices=("int", "ms4"), required=True)
+    p.add_argument("--kind", choices=FRAME_TYPES, required=True)
     p.add_argument("--bound", type=int, default=3, help="largest point count (default 3)")
     p.add_argument(
         "--filter",

@@ -8,16 +8,18 @@ point is a cluster of its own and is a whole cluster when the point joins it,
 so partial orders keep the pairs with D & U empty, quasi-orders keep every
 pair, and equivalences keep D == U (empty, or one class).
 
-Classes are generated without labeled frames.  A frame's canonical key is
-the least relabeling of its first relation's rows followed by its second's
-(q on int frames, e on ms4 frames), so over a canonical order R it is R
-followed by the least image of the second relation under R's automorphisms.
+Classes are generated without labeled frames.  A frame's class key is the
+least relabeling of its first relation's rows followed by its second's (q on
+int frames, e on ms4 frames), which is `canonical_form` less its two framing
+bytes (kind and size); over a canonical order R it is R followed by the
+least image of the second relation under R's automorphisms.
 One canonical partial order (int) or quasi-order (ms4) per class, with its
 automorphisms, comes from canonicalizing the one-point extensions of the
 classes one point smaller; each is paired with every commuting equivalence.
 The distinct keys, sorted, spell out the class representatives.  The
 unfiltered classes of each (kind, size) are computed once per process;
-filters apply afterwards.
+filters apply afterwards, each named once in `FILTERS` with the frame kind
+it applies to and its test.
 """
 
 from __future__ import annotations
@@ -42,9 +44,18 @@ from .frames import (
 MAX_ENUM_POINTS = 5
 CANONICAL_MAX = 7
 
-FILTERS = ("m_plus", "mgrz", "m_plus_grz")
-_INT_FILTERS = frozenset(("m_plus",))
-_MS4_FILTERS = frozenset(("mgrz", "m_plus_grz"))
+
+def _casari_image_valid(frame) -> bool:
+    translated = syntax.corpus("casari_translated")[0]
+    return semantics.frame_validates(frame, translated)
+
+
+# Each logic filter: the frame kind it applies to, and its test.
+FILTERS = {
+    "m_plus": ("int", has_clean_clusters),
+    "mgrz": ("ms4", is_finite_mgrz),
+    "m_plus_grz": ("ms4", _casari_image_valid),
+}
 # First byte of a canonical key, per frame kind.
 _KIND_BYTE = {"int": b"I", "ms4": b"M"}
 # Point names of the frames a canonical key spells out.
@@ -60,17 +71,18 @@ class EnumerationConfig:
     filters: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("int", "ms4"):
+        if self.kind not in FRAME_TYPES:
             raise ValueError(f"unknown frame kind {self.kind!r}")
+        if self.max_points.__class__ is not int:
+            raise ValueError(f"enumeration size must be an int, not {self.max_points!r}")
         if not 1 <= self.max_points <= MAX_ENUM_POINTS:
             raise BoundExceeded(
                 f"enumeration size {self.max_points} outside 1..{MAX_ENUM_POINTS}"
             )
-        allowed = _INT_FILTERS if self.kind == "int" else _MS4_FILTERS
         for name in self.filters:
             if name not in FILTERS:
                 raise ValueError(f"unknown filter {name!r}")
-            if name not in allowed:
+            if FILTERS[name][0] != self.kind:
                 raise ValueError(f"filter {name!r} does not apply to {self.kind} frames")
 
 
@@ -163,15 +175,6 @@ def canonical_form(frame) -> bytes:
     return _KIND_BYTE[frame.kind] + bytes([n]) + encoding
 
 
-def _from_key(kind: str, key: bytes):
-    """The canonical `kind` frame a key spells out, points named x0, x1, ..."""
-    n = key[1]
-    names = _POINT_NAMES[:n]
-    first = Relation(n, tuple(key[2 : 2 + n]))
-    second = Relation(n, tuple(key[2 + n :]))
-    return FRAME_TYPES[kind](names, first, second)
-
-
 @cache
 def _order_classes(n: int, with_clusters: bool) -> tuple:
     """One canonical order per isomorphism class of partial orders (or, with
@@ -206,9 +209,9 @@ def _classes(kind: str, n: int) -> tuple:
     on n points, ordered by canonical key.
 
     Each canonical order R is paired with every commuting equivalence; the
-    pair's key, equal to `canonical_form` of the frame, is R's rows followed
-    by the least relabeled second relation over R's automorphisms."""
-    prefix = _KIND_BYTE[kind] + bytes([n])
+    pair's key, `canonical_form` of the frame less its kind and size bytes,
+    is R's rows followed by the least relabeled second relation over R's
+    automorphisms, so its first n bytes and the rest are the two relations."""
     eqs = equivalences(n)
     keys = set()
     for r, automorphisms in _order_classes(n, with_clusters=kind == "ms4"):
@@ -217,32 +220,21 @@ def _classes(kind: str, n: int) -> tuple:
                 continue
             second = qe(r, e) if kind == "int" else e
             keys.add(_least(r.rows + second.rows, automorphisms))
-    return tuple(_from_key(kind, prefix + key) for key in sorted(keys))
-
-
-def _casari_image_valid(frame) -> bool:
-    translated = syntax.corpus("casari_translated")[0]
-    return semantics.frame_validates(frame, translated)
-
-
-def _passes_filters(frame, filters: frozenset[str]) -> bool:
-    for name in sorted(filters):
-        if name == "m_plus" and not has_clean_clusters(frame):
-            return False
-        if name == "mgrz" and not is_finite_mgrz(frame):
-            return False
-        if name == "m_plus_grz" and not _casari_image_valid(frame):
-            return False
-    return True
+    names = _POINT_NAMES[:n]
+    return tuple(
+        FRAME_TYPES[kind](names, Relation(n, tuple(key[:n])), Relation(n, tuple(key[n:])))
+        for key in sorted(keys)
+    )
 
 
 def enumerate_frames(config: EnumerationConfig) -> list:
     """Frames of the requested kind with 1..max_points points, one per
     isomorphism class, filtered and deterministically ordered by size then
     canonical form."""
+    tests = [FILTERS[name][1] for name in sorted(config.filters)]
     return [
         frame
         for n in range(1, config.max_points + 1)
         for frame in _classes(config.kind, n)
-        if _passes_filters(frame, config.filters)
+        if all(test(frame) for test in tests)
     ]

@@ -482,12 +482,10 @@ def _relation_from_json(n: int, pairs, label: str) -> Relation:
     # Every entry's shape is checked before any index is range-checked.
     for entry in pairs:
         if not (
-            isinstance(entry, (list, tuple))
+            entry.__class__ in (list, tuple)
             and len(entry) == 2
-            and isinstance(entry[0], int)
-            and isinstance(entry[1], int)
-            and not isinstance(entry[0], bool)
-            and not isinstance(entry[1], bool)
+            and entry[0].__class__ is int
+            and entry[1].__class__ is int
         ):
             raise ValueError(f"{label} entries must be [i, j] index pairs")
     return Relation.from_pairs(n, pairs)

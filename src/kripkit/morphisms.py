@@ -85,9 +85,9 @@ class FrameMap:
     """Total map between the point sets of two frames of the same kind.
 
     The constructor checks the endpoints' kinds, then that the image has one
-    entry per source point, then each entry: an `int` (not a `bool`) naming
-    a target point.  It stores the image as a tuple, so a list image gives
-    an equal, hashable map.
+    entry per source point, then each entry: an exact `int` (so not a
+    `bool`) naming a target point.  It stores the image as a tuple, so a
+    list image gives an equal, hashable map.
     """
 
     source: Frame
@@ -102,7 +102,7 @@ class FrameMap:
             raise ValueError("map must cover every source point")
         m = target.n
         for value in image:
-            if not isinstance(value, int) or isinstance(value, bool):
+            if value.__class__ is not int:
                 raise ValueError(f"image entries must be int point indices, not {value!r}")
             if not 0 <= value < m:
                 raise ValueError(f"image index {value} out of range")

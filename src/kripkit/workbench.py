@@ -427,6 +427,8 @@ def run_experiment(experiment_id: str, bound: int | None = None) -> ExperimentRe
     except KeyError:
         raise ValueError(f"unknown experiment id {experiment_id!r}") from None
     effective = experiment.default_bound if bound is None else bound
+    if effective.__class__ is not int:
+        raise ValueError(f"bound must be an int, not {bound!r}")
     if effective < 1:
         raise ValueError("bound must be at least 1")
     start = time.perf_counter()

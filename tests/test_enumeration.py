@@ -416,6 +416,10 @@ def test_config_validation():
         EnumerationConfig(kind="int", max_points=0)
     with pytest.raises(BoundExceeded):
         EnumerationConfig(kind="int", max_points=6)
+    # Only an exact int is a size: True would enumerate one point.
+    for size in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"must be an int, not {size!r}"):
+            EnumerationConfig(kind="int", max_points=size)
     with pytest.raises(ValueError, match="unknown filter"):
         EnumerationConfig(kind="int", max_points=2, filters=frozenset({"finite"}))
     with pytest.raises(ValueError, match="does not apply"):

@@ -128,6 +128,12 @@ def test_run_experiment_guards():
         run_experiment("casari")
     with pytest.raises(ValueError, match="at least 1"):
         run_experiment("clean-casari", 0)
+    # clean-casari enumerates up to its bound; counterexample has no use for
+    # one, yet refuses a bound that is not an int all the same.
+    for experiment_id in ("clean-casari", "counterexample"):
+        for bound in (True, 2.0, "2", 2.5):
+            with pytest.raises(ValueError, match=f"must be an int, not {bound!r}"):
+                run_experiment(experiment_id, bound)
 
 
 def test_report_passed_and_fingerprint():
