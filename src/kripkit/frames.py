@@ -15,9 +15,11 @@ the paper's name for `s`:
 witness.  Relations are stored as bitmask rows: bit j of `rows[i]` is set iff
 i is related to j, and the checks read those rows directly.  What is
 derived from a relation (its converse, successor lists, loop mask and
-both-ways part) is computed once per `Relation` object and kept on it; the
-cluster equivalences `er` and `IntFrame.e_q` are both-ways parts.  `bits`
-returns a cached tuple.  A mask with a bit at or above the point count, or
+both-ways part) is computed on first read and kept in the relation's
+`__dict__` (`_kept`); the cluster equivalences `er` and `IntFrame.e_q` are
+both-ways parts.  Relations built here from rows that are valid by
+construction skip the constructor's checks (`_trusted`).  `bits` returns a
+cached tuple.  A mask with a bit at or above the point count, or
 a negative one, raises `ValueError` instead of being read past the rows.
 Everything here is exhaustive search over points, so sizes are capped at
 MAX_POINTS.
@@ -26,7 +28,7 @@ MAX_POINTS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import ClassVar, Iterable
 
 MAX_POINTS = 12
@@ -63,6 +65,25 @@ def _check_mask(mask: int, n: int) -> None:
         raise ValueError(f"mask {mask} out of range for n={n}")
 
 
+def _check_size(n: int) -> None:
+    if not 0 <= n <= MAX_POINTS:
+        raise BoundExceeded(f"relation size {n} exceeds cap {MAX_POINTS}")
+
+
+class _kept:
+    """`functools.cached_property` without its lock: the first read stores
+    the value in the instance `__dict__`, where later reads find it."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Relation:
     """Binary relation on {0, ..., n-1} as a tuple of row bitmasks."""
@@ -71,8 +92,7 @@ class Relation:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_POINTS:
-            raise BoundExceeded(f"relation size {self.n} exceeds cap {MAX_POINTS}")
+        _check_size(self.n)
         if len(self.rows) != self.n:
             raise ValueError("row count must equal n")
         union = 0
@@ -83,21 +103,23 @@ class Relation:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
+        _check_size(n)
         rows = [0] * n
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"pair ({i}, {j}) out of range for n={n}")
             rows[i] |= 1 << j
-        return cls(n, tuple(rows))
+        return _trusted(n, tuple(rows))
 
     @classmethod
     def identity(cls, n: int) -> "Relation":
-        return cls(n, tuple(1 << i for i in range(n)))
+        _check_size(n)
+        return _trusted(n, tuple(1 << i for i in range(n)))
 
     @classmethod
     def total(cls, n: int) -> "Relation":
-        full = (1 << n) - 1
-        return cls(n, (full,) * n)
+        _check_size(n)
+        return _trusted(n, ((1 << n) - 1,) * n)
 
     def has(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -108,10 +130,7 @@ class Relation:
     def image(self, mask: int) -> int:
         """All points reachable in one step from `mask`."""
         _check_mask(mask, self.n)
-        out = 0
-        for i in bits(mask):
-            out |= self.rows[i]
-        return out
+        return _image(self.rows, mask)
 
     def preimage(self, mask: int) -> int:
         """All points that reach `mask` in one step."""
@@ -125,35 +144,42 @@ class Relation:
     def converse(self) -> "Relation":
         return self._converse
 
-    @cached_property
+    @_kept
     def _converse(self) -> "Relation":
         rows = [0] * self.n
         for i, row in enumerate(self.rows):
             for j in bits(row):
                 rows[j] |= 1 << i
-        return Relation(self.n, tuple(rows))
+        return _trusted(self.n, tuple(rows))
 
-    @cached_property
+    @_kept
     def successors(self) -> tuple[tuple[int, ...], ...]:
         """Per point, its successor indices, ascending."""
         return tuple(map(bits, self.rows))
 
-    @cached_property
+    @_kept
     def loops(self) -> int:
         """Mask of the points related to themselves."""
-        return sum(row & 1 << i for i, row in enumerate(self.rows))
+        out = 0
+        for i, row in enumerate(self.rows):
+            out |= row & 1 << i
+        return out
 
-    @cached_property
+    @_kept
     def both_ways(self) -> "Relation":
         """The pairs related both ways: the relation meet its converse."""
         return self.meet(self._converse)
 
     def compose(self, other: "Relation") -> "Relation":
         """x (self;other) z iff x self y and y other z for some y."""
-        return Relation(self.n, tuple(other.image(row) for row in self.rows))
+        if other.n != self.n:
+            raise ValueError("relations of different sizes")
+        return _trusted(self.n, tuple(_image(other.rows, row) for row in self.rows))
 
     def meet(self, other: "Relation") -> "Relation":
-        return Relation(self.n, tuple(a & b for a, b in zip(self.rows, other.rows)))
+        if other.n != self.n:
+            raise ValueError("relations of different sizes")
+        return _trusted(self.n, tuple(a & b for a, b in zip(self.rows, other.rows)))
 
     def is_reflexive(self) -> bool:
         return _reflexive_witness(self) is None
@@ -169,6 +195,25 @@ class Relation:
 
     def is_quasi_order(self) -> bool:
         return self.is_reflexive() and self.is_transitive()
+
+
+def _image(rows: tuple[int, ...], mask: int) -> int:
+    """`Relation.image` on its rows, less the mask check."""
+    out = 0
+    for i in bits(mask):
+        out |= rows[i]
+    return out
+
+
+def _trusted(n: int, rows: tuple[int, ...]) -> Relation:
+    """A relation the constructor would accept, built without its checks.
+    Only for rows made here: n within the cap, n rows, no bit at or above n.
+    The fields are set as the constructor sets them: a relation whose
+    `__dict__` was written to holds about 150 bytes more."""
+    rel = object.__new__(Relation)
+    object.__setattr__(rel, "n", n)
+    object.__setattr__(rel, "rows", rows)
+    return rel
 
 
 def er(rel: Relation) -> Relation:
@@ -331,9 +376,9 @@ def _subset_witness(sub: Relation, sup: Relation) -> tuple[int, ...] | None:
 
 def _decomposition_witness(frame: IntFrame) -> tuple[int, ...] | None:
     # Every q-successor must be reachable as an r-step into its q-cluster.
-    eq = frame.e_q()
-    for x in range(frame.n):
-        missing = frame.q.rows[x] & ~eq.image(frame.r.rows[x])
+    eq_rows = frame.e_q().rows
+    for x, (r_row, q_row) in enumerate(zip(frame.r.rows, frame.q.rows)):
+        missing = q_row & ~_image(eq_rows, r_row)
         if missing:
             return (x, bits(missing)[0])
     return None
@@ -344,10 +389,7 @@ def _commute_witness(r: Relation, e: Relation) -> tuple[int, ...] | None:
     then e-step from x to z, or None when e-then-r lies inside r-then-e."""
     r_rows, e_rows = r.rows, e.rows
     for x, row in enumerate(r_rows):
-        # e.image(row), less its mask check: row is a row of r.
-        around = 0
-        for z in bits(row):
-            around |= e_rows[z]
+        around = _image(e_rows, row)
         for y in bits(e_rows[x]):
             missing = r_rows[y] & ~around
             if missing:
@@ -366,10 +408,13 @@ def _report(*stages: list[tuple[str, tuple[int, ...] | None, str]]) -> Validatio
     detail) check that found a witness.  A later stage assumes the
     conditions of the earlier ones."""
     for stage in stages:
-        out = tuple(Violation(c, witness, d) for c, witness, d in stage if witness is not None)
+        out = [Violation(c, witness, d) for c, witness, d in stage if witness is not None]
         if out:
-            return ValidationReport(out)
-    return ValidationReport(())
+            return ValidationReport(tuple(out))
+    return _VALID
+
+
+_VALID = ValidationReport(())
 
 
 def validate_int_frame(frame: IntFrame) -> ValidationReport:
@@ -479,7 +524,10 @@ def frame_to_json_dict(frame: Frame) -> dict:
 def _relation_from_json(n: int, pairs, label: str) -> Relation:
     if not isinstance(pairs, list):
         raise ValueError(f"{label} must be a list of index pairs")
-    # Every entry's shape is checked before any index is range-checked.
+    # Every entry's shape is checked before the first out-of-range pair is
+    # reported.  `n` is within the cap: the caller checked it.
+    rows = [0] * n
+    out_of_range = None
     for entry in pairs:
         if not (
             entry.__class__ in (list, tuple)
@@ -488,7 +536,14 @@ def _relation_from_json(n: int, pairs, label: str) -> Relation:
             and entry[1].__class__ is int
         ):
             raise ValueError(f"{label} entries must be [i, j] index pairs")
-    return Relation.from_pairs(n, pairs)
+        i, j = entry
+        if 0 <= i < n and 0 <= j < n:
+            rows[i] |= 1 << j
+        elif out_of_range is None:
+            out_of_range = f"pair ({i}, {j}) out of range for n={n}"
+    if out_of_range is not None:
+        raise ValueError(out_of_range)
+    return _trusted(n, tuple(rows))
 
 
 def frame_from_json_dict(data: dict, validate: bool = True) -> Frame:

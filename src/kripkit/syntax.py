@@ -494,15 +494,20 @@ def godel_translate(phi: Formula) -> Formula:
     checked: the constructor refuses mixed-language formulas, and `_build`
     callers keep one language, so every node is intuitionistic.  Each output
     node is then a modal connective over modal arguments, with the arity and
-    letter names of the input, and is built with `_build`.
+    letter names of the input, and is built with `_build`.  Each letter name
+    gets one `box p` node per call, shared by all its occurrences.
     """
     if phi.lang != INT:
         raise ValueError("translation expects an intuitionistic formula")
     done: list[Formula] = []
+    boxed: dict[str, Formula] = {}
     for node in _bottom_up(phi):
         kind = node.kind
         if kind == "letter":
-            out = _build(MODAL, "box", "", (_build(MODAL, "letter", node.name, ()),))
+            name = node.name
+            if name not in boxed:
+                boxed[name] = _build(MODAL, "box", "", (_build(MODAL, "letter", name, ()),))
+            out = boxed[name]
         elif kind == "top" or kind == "bottom":
             out = _build(MODAL, kind, "", ())
         elif kind == "and" or kind == "or":

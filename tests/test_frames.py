@@ -1,6 +1,7 @@
 """Relation and frame layer: bitmask relations, frame conditions, JSON."""
 
 import re
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -112,6 +113,45 @@ def symmetric_witness_oracle(rel: Relation):
 
 def converse_oracle(rel: Relation) -> Relation:
     return Relation(rel.n, tuple(rel.preimage(1 << j) for j in range(rel.n)))
+
+
+def rows_oracle(n: int, related) -> Relation:
+    """The relation {(i, j) : related(i, j)}, through the checked constructor."""
+    return Relation(n, tuple(mask_of(j for j in range(n) if related(i, j)) for i in range(n)))
+
+
+def assert_trusted_matches(got: Relation, want: Relation) -> None:
+    """A relation `frames` built without the constructor's checks passes
+    them and equals its oracle."""
+    assert got.__class__ is Relation
+    assert Relation(got.n, got.rows) == got == want
+
+
+def assert_trusted_results(a: Relation, b: Relation) -> None:
+    """Every value `frames` builds through its trusted path, from `a` and
+    `b` on the same points, against its pair-by-pair oracle."""
+    n = a.n
+    has = a.has
+    assert_trusted_matches(a.converse(), rows_oracle(n, lambda i, j: has(j, i)))
+    assert_trusted_matches(a.both_ways, rows_oracle(n, lambda i, j: has(i, j) and has(j, i)))
+    assert_trusted_matches(a.meet(b), rows_oracle(n, lambda i, j: has(i, j) and b.has(i, j)))
+    assert_trusted_matches(
+        a.compose(b),
+        rows_oracle(n, lambda i, j: any(has(i, y) and b.has(y, j) for y in range(n))),
+    )
+    assert_trusted_matches(Relation.from_pairs(n, a.pairs()), a)
+    if n:
+        points = [f"x{i}" for i in range(n)]
+        data = {"kind": "ms4", "points": points, "R": a.pairs(), "E": b.pairs()}
+        loaded = frame_from_json_dict(data, validate=False)
+        assert_trusted_matches(loaded.r, a)
+        assert_trusted_matches(loaded.s, b)
+
+
+@st.composite
+def relation_pairs(draw, max_n: int = 6):
+    a = draw(relations(max_n, min_n=0))
+    return a, draw(relations(a.n, min_n=a.n))
 
 
 # The row-by-row reflexive witness search that reading the loop mask
@@ -323,6 +363,44 @@ class TestRelation:
     def test_identity_total(self):
         assert Relation.identity(3).pairs() == [(0, 0), (1, 1), (2, 2)]
         assert len(Relation.total(3).pairs()) == 9
+        for n in range(MAX_POINTS + 1):
+            assert_trusted_matches(Relation.identity(n), rows_oracle(n, int.__eq__))
+            assert_trusted_matches(Relation.total(n), rows_oracle(n, lambda i, j: True))
+
+    @pytest.mark.parametrize(
+        "build", [Relation.identity, Relation.total, lambda n: Relation.from_pairs(n, [])]
+    )
+    def test_oversize_n_is_refused_before_allocating(self, build):
+        # `identity(20000)` used to build its 20,000 rows (27.5 MB) first.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceeded, match="relation size 20000 exceeds cap"):
+                build(20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(BoundExceeded):
+            build(-1)
+
+    def test_trusted_results_match_checked_construction(self):
+        # Every relation on at most 3 points and every quasi-order on 4, each
+        # with its converse and its rows rotated as the second relation.
+        every = [Relation(n, rows) for n in range(4) for rows in product(range(1 << n), repeat=n)]
+        for a in [*every, *quasi_orders(4)]:
+            for b in (a, converse_oracle(a), Relation(a.n, a.rows[1:] + a.rows[:1])):
+                assert_trusted_results(a, b)
+
+    @given(relation_pairs())
+    def test_trusted_results_match_checked_construction_on_random_pairs(self, pair):
+        assert_trusted_results(*pair)
+
+    def test_meet_and_compose_need_one_size(self):
+        for op in (Relation.meet, Relation.compose):
+            with pytest.raises(ValueError, match="different sizes"):
+                op(Relation.identity(2), Relation.identity(3))
+            with pytest.raises(ValueError, match="different sizes"):
+                op(Relation.identity(3), Relation.identity(2))
 
     def test_image_preimage(self):
         rel = Relation.from_pairs(3, [(0, 1), (2, 1), (1, 2)])
@@ -348,7 +426,8 @@ class TestRelation:
             assert rel.successors == tuple(tuple(bits(row)) for row in rel.rows)
             assert rel.loops == mask_of(x for x in range(rel.n) if rel.has(x, x))
             assert rel.both_ways == rel.meet(rel.converse())
-            assert {"successors", "loops", "both_ways"} <= vars(rel).keys()
+            assert {"_converse", "successors", "loops", "both_ways"} <= vars(rel).keys()
+            assert vars(rel)["_converse"] is rel.converse()
             assert rel.successors is rel.successors
             assert rel.both_ways is rel.both_ways
 
@@ -818,6 +897,24 @@ class TestFrameJson:
     def test_shape_errors_come_before_range_errors(self, entries):
         data = {"kind": "ms4", "points": ["a", "b"], "R": [[0, 0], [1, 1]], "E": entries}
         with pytest.raises(ValueError, match=re.escape("E entries must be [i, j] index pairs")):
+            frame_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "r_pairs,e_pairs,message",
+        [
+            # An out-of-range pair before a malformed entry: the shape error.
+            ([[0, 0]], [[0, 5], [0]], "E entries must be [i, j] index pairs"),
+            ([[2, 0], [0, True]], [[0, 0]], "R entries must be [i, j] index pairs"),
+            # Several out-of-range pairs: the first is named.
+            ([[0, 0]], [[0, 5], [7, 0]], "pair (0, 5) out of range for n=2"),
+            ([[1, 1], [-1, 0], [0, 2]], [[0, 0]], "pair (-1, 0) out of range for n=2"),
+            # R is read whole before E.
+            ([[0, 2]], [[0]], "pair (0, 2) out of range for n=2"),
+        ],
+    )
+    def test_loader_error_order(self, r_pairs, e_pairs, message):
+        data = {"kind": "ms4", "points": ["a", "b"], "R": r_pairs, "E": e_pairs}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             frame_from_json_dict(data)
 
     @settings(max_examples=500)

@@ -681,6 +681,11 @@ class TestGodelTranslation:
         with pytest.raises(ValueError):
             godel_translate(parse("p", MODAL))
 
+    def test_repeated_letters_share_one_node(self):
+        # box p & box(box q -> box p): both `box p` are one node.
+        translated = godel_translate(parse("p & (q -> p)"))
+        assert translated.args[0] is translated.args[1].args[0].args[1]
+
     def test_unknown_kind_is_a_value_error(self):
         # An explicit error, not an assert that `python -O` would strip.
         phi = parse("p & p")
