@@ -29,15 +29,17 @@ The search returns image tuples.  `enumerate_morphisms` and
 without running the constructor's checks again: the search refuses frames
 of different kinds before it starts, and it builds each image from one
 target index per source point, so every check the constructor makes holds
-by construction.  Every other `FrameMap` goes through the checked
-constructor.
+by construction; `_lift` wraps such an image after a projection.  Every
+other `FrameMap` goes through the checked constructor.
 
 The morphism predicates read relation rows and the converse rows and
 successor lists each relation keeps once computed; `apply_mask` raises
 `ValueError` on a mask with a bit at or above the source's point count.
 
-`lift_reduction` composes a reduction of a modal frame's quotient onto a
-clean frame with the projection `skeleton` returns.
+`lift_reduction` checks that a map is a reduction of a modal frame's
+quotient onto a clean frame; `_lift`, which the `lifting` experiment calls
+on each image the search found, composes it with the projection `skeleton`
+returns and checks the result.
 
 `_reduction_shape` gives numbers of a frame that no reduction can raise
 (points, and per relation: unrooted, components, top clusters, depth), and
@@ -135,8 +137,8 @@ _set_source, _set_target, _set_image = (
 
 
 def _wrap(source: Frame, target: Frame, images: list[tuple[int, ...]]) -> list[FrameMap]:
-    """FrameMaps for image tuples that `_search` found, stored through the
-    slot setters: the constructor's checks already hold (see above)."""
+    """FrameMaps for image tuples that `_search` or `_lift` built, stored
+    through the slot setters: the constructor's checks hold (see above)."""
     new = object.__new__
     out = []
     for image in images:
@@ -258,7 +260,10 @@ def _source_tables(source: Frame):
 
 def _search(source, target, onto: bool) -> list[tuple[int, ...]]:
     """Image tuples of the morphisms from `source` to `target` (onto ones
-    only when `onto`), in lexicographic order."""
+    only when `onto`), in lexicographic order.  A source over
+    `REDUCTION_SOURCE_CAP` points is refused: the map count grows factorially."""
+    if source.n > REDUCTION_SOURCE_CAP:
+        raise BoundExceeded(f"source has {source.n} points, cap is {REDUCTION_SOURCE_CAP}")
     if source.kind != target.kind:
         raise ValueError("frames must be of the same kind")
     n, m = source.n, target.n
@@ -373,7 +378,8 @@ def _may_reduce(source_shape: tuple[int, ...], target_shape: tuple[int, ...]) ->
 
 def enumerate_morphisms(source, target) -> list[FrameMap]:
     """All morphisms from `source` to `target`, in lexicographic order of the
-    image tuple.  Found by the pruned search described above."""
+    image tuple.  Found by the pruned search described above; the source
+    is capped at `REDUCTION_SOURCE_CAP` points."""
     return _wrap(source, target, _search(source, target, onto=False))
 
 
@@ -381,10 +387,6 @@ def enumerate_reductions(source, target) -> list[FrameMap]:
     """All reductions from `source` onto `target`, in lexicographic order of
     the image tuple.  Found by the pruned search described above, with the
     onto bound on; the source stays capped at `REDUCTION_SOURCE_CAP` points."""
-    if source.n > REDUCTION_SOURCE_CAP:
-        raise BoundExceeded(
-            f"source has {source.n} points, cap is {REDUCTION_SOURCE_CAP}"
-        )
     return _wrap(source, target, _search(source, target, onto=True))
 
 
@@ -393,10 +395,9 @@ def lift_reduction(projection: QuotientMap, f: FrameMap) -> FrameMap:
 
     Given the projection of a modal frame H onto its quotient (as returned
     by `skeleton(H)`) and a reduction f from that quotient onto an
-    intuitionistic frame F whose clusters are clean, build the composite
-    g = f after the projection and return it as a map from H onto the modal
-    expansion of F.  The result is checked to be an onto modal morphism
-    before being returned.
+    intuitionistic frame F whose clusters are clean (`ValueError`
+    otherwise), return g = f after the projection as a map from H onto the
+    modal expansion of F, checked by `_lift`.
     """
     # functors imports this module, so sigma is imported at call time.
     from .functors import sigma
@@ -407,8 +408,14 @@ def lift_reduction(projection: QuotientMap, f: FrameMap) -> FrameMap:
         raise ValueError("map source is not the quotient of the modal frame")
     if not (f.is_onto() and is_mipc_morphism(f)):
         raise ValueError("map is not a reduction")
-    image = tuple(f.image[k] for k in projection.class_index)
-    g = FrameMap(projection.source, sigma(f.target), image)
+    return _lift(projection, f.image, sigma(f.target))
+
+
+def _lift(projection: QuotientMap, image: Sequence[int], expansion: MS4Frame) -> FrameMap:
+    """`image` (one `expansion` index per class) after the projection, as
+    a map onto `expansion`; `RuntimeError` unless it is a reduction."""
+    composite = tuple(image[k] for k in projection.class_index)
+    (g,) = _wrap(projection.source, expansion, [composite])
     if not (g.is_onto() and is_ms4_morphism(g)):
         raise RuntimeError("lifting failed to produce a reduction")
     return g

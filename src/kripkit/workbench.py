@@ -34,6 +34,7 @@ from .frames import (
 from .functors import sigma, skeleton
 from .morphisms import (
     FrameMap,
+    _lift,
     _may_reduce,
     _reduction_shape,
     _rows_match,
@@ -42,7 +43,6 @@ from .morphisms import (
     is_mipc_morphism,
     is_ms4_morphism,
     is_reduction,
-    lift_reduction,
 )
 
 RANDOM_FORMULA_SEED = 7
@@ -287,10 +287,11 @@ def _run_sigma_functor(bound: int) -> tuple[int, list[str]]:
 def _run_lifting(bound: int) -> tuple[int, list[str]]:
     targets = _enumerate("int", min(3, bound), "m_plus")
     target_shapes = [_reduction_shape(target) for target in targets]
+    expansions = [sigma(target) for target in targets]
     # Each distinct quotient is searched once per run, keyed by its rows
     # (`_quotient_key`): per target, the image tuples of its reductions,
-    # none where the shapes rule a reduction out.  Every reduction is still
-    # rebuilt on its own quotient, then lifted and checked.
+    # none where the shapes rule a reduction out.  The search has made the
+    # checks `lift_reduction` makes first, so `_lift` checks only the lift.
     found: dict[tuple, tuple[tuple[tuple[int, ...], ...], ...]] = {}
     instances = 0
     failures = []
@@ -306,16 +307,15 @@ def _run_lifting(bound: int) -> tuple[int, list[str]]:
                 else ()
                 for target, target_shape in zip(targets, target_shapes)
             )
-        for target, images in zip(targets, per_target):
+        for target, expansion, images in zip(targets, expansions, per_target):
             for image in images:
-                f = FrameMap(quotient, target, image)
                 instances += 1
                 try:
-                    lift_reduction(projection, f)
-                except (RuntimeError, ValueError) as exc:
+                    _lift(projection, image, expansion)
+                except RuntimeError as exc:
                     failures.append(
                         f"{_frame_label(modal)} -> {_frame_label(target)} "
-                        f"via {list(f.image)}: {exc}"
+                        f"via {list(image)}: {exc}"
                     )
     return instances, failures
 

@@ -447,6 +447,22 @@ def test_enumerate_reductions_guards(three_point_frame, cluster_frame):
         enumerate_reductions(wide, chain_frame(2))
 
 
+def test_enumerate_morphisms_caps_the_source(monkeypatch):
+    # Two 7-point total frames have 5,040 morphisms between them, and the
+    # count grows factorially with the source; the cap refuses before the
+    # search builds anything.
+    total = IntFrame(tuple(f"x{i}" for i in range(7)), Relation.total(7), Relation.total(7))
+    searched = []
+    monkeypatch.setattr(morphisms, "_source_tables", lambda source: searched.append(source))
+    for search in (enumerate_morphisms, enumerate_reductions):
+        with pytest.raises(BoundExceeded, match="source has 7 points, cap is 6"):
+            search(total, total)
+    assert searched == []
+    monkeypatch.undo()
+    six = chain_frame(morphisms.REDUCTION_SOURCE_CAP)
+    assert tuple(range(6)) in [f.image for f in enumerate_morphisms(six, six)]
+
+
 def test_lift_reduction_agrees_with_composition():
     targets = [f for f in int_frames(2) if has_clean_clusters(f)]
     checked = 0
@@ -499,6 +515,43 @@ def test_lift_reduction_checks_map_endpoints():
         lift_reduction(projection, FrameMap(quotient, target, (0, 0)))
     with pytest.raises(ValueError, match="expected an intuitionistic frame"):
         lift_reduction(projection, identity_map(modal))
+
+
+def test_lift_matches_lift_reduction_and_the_checked_composite():
+    # `_lift` is what the lifting experiment runs on each image tuple the
+    # search found; it must give the map `lift_reduction` gives and the one
+    # the checked constructor builds from the composite image.
+    targets = enumerate_frames(EnumerationConfig("int", 3, frozenset({"m_plus"})))
+    expansions = [sigma(target) for target in targets]
+    checked = 0
+    for modal in ms4_frames(4):
+        quotient, projection = skeleton(modal)
+        for target, expansion in zip(targets, expansions):
+            for f in enumerate_reductions(quotient, target):
+                lifted = morphisms._lift(projection, f.image, expansion)
+                composite = tuple(f.image[k] for k in projection.class_index)
+                assert lifted == lift_reduction(projection, f)
+                assert lifted == FrameMap(modal, expansion, composite)
+                assert type(lifted.image) is tuple
+                checked += 1
+    assert checked == 1078
+
+
+def test_lift_refuses_a_composite_that_is_not_onto_or_not_a_morphism():
+    # One point onto two unrelated points: a modal morphism, not onto.
+    point = chain_frame(1)
+    _, projection = skeleton(sigma(point))
+    pair = IntFrame(("u", "v"), Relation.identity(2), Relation.identity(2))
+    assert is_ms4_morphism(FrameMap(sigma(point), sigma(pair), (0,)))
+    with pytest.raises(RuntimeError, match="lifting failed"):
+        morphisms._lift(projection, (0,), sigma(pair))
+    # The 2-chain turned upside down: onto, not a modal morphism.
+    chain = chain_frame(2)
+    _, projection = skeleton(sigma(chain))
+    assert morphisms._lift(projection, (0, 1), sigma(chain)).image == (0, 1)
+    assert not is_ms4_morphism(FrameMap(sigma(chain), sigma(chain), (1, 0)))
+    with pytest.raises(RuntimeError, match="lifting failed"):
+        morphisms._lift(projection, (1, 0), sigma(chain))
 
 
 def shape_rejections(sources, targets) -> tuple[int, int]:

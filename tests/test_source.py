@@ -89,6 +89,7 @@ def test_no_private_imports_across_modules():
     allowed = {
         ("functors.py", "morphisms", "_image_of"),
         ("morphisms.py", "frames", "_check_mask"),
+        ("workbench.py", "morphisms", "_lift"),
         ("workbench.py", "morphisms", "_may_reduce"),
         ("workbench.py", "morphisms", "_reduction_shape"),
         ("workbench.py", "morphisms", "_rows_match"),

@@ -225,6 +225,32 @@ def test_translation_pools_are_built_once():
     assert images == tuple(godel_translate(phi) for phi in pool)
 
 
+def test_lifting_expands_each_target_once(monkeypatch):
+    # The search found each lifted map as a reduction, so the experiment
+    # neither checks it as an intuitionistic morphism again nor builds an
+    # expansion per instance: one per target, through either binding.
+    expanded = []
+    checked = []
+    is_mipc_morphism = morphisms.is_mipc_morphism
+
+    def counted_sigma(frame):
+        expanded.append(frame)
+        return sigma(frame)
+
+    def counted_mipc(f):
+        checked.append(f)
+        return is_mipc_morphism(f)
+
+    monkeypatch.setattr(workbench, "sigma", counted_sigma)
+    monkeypatch.setattr(kripkit.functors, "sigma", counted_sigma)
+    monkeypatch.setattr(morphisms, "is_mipc_morphism", counted_mipc)
+    instances, failures = workbench._run_lifting(4)
+    targets = enumerate_frames(EnumerationConfig("int", 3, frozenset({"m_plus"})))
+    assert (instances, failures) == (1078, [])
+    assert expanded == list(targets)
+    assert checked == []
+
+
 def test_reports_are_byte_reproducible(default_reports):
     rerun = {
         "counterexample": run_experiment("counterexample"),
