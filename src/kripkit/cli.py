@@ -111,19 +111,13 @@ def _emit_frame(frame, args, extra: dict | None = None) -> None:
 
 
 def _cmd_skeleton(args) -> int:
-    frame = _load(args)
-    if frame.kind != "ms4":
-        raise ValueError("skeleton expects an ms4 frame")
-    quotient, projection = skeleton(frame)
+    quotient, projection = skeleton(_load(args))
     _emit_frame(quotient, args, {"projection": projection.to_json_dict()})
     return 0
 
 
 def _cmd_sigma(args) -> int:
-    frame = _load(args)
-    if frame.kind != "int":
-        raise ValueError("sigma expects an int frame")
-    _emit_frame(sigma(frame), args)
+    _emit_frame(sigma(_load(args)), args)
     return 0
 
 

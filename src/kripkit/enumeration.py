@@ -16,10 +16,12 @@ least image of the second relation under R's automorphisms.
 One canonical partial order (int) or quasi-order (ms4) per class, with its
 automorphisms, comes from canonicalizing the one-point extensions of the
 classes one point smaller; each is paired with every commuting equivalence.
-The distinct keys, sorted, spell out the class representatives.  The
-unfiltered classes of each (kind, size) are computed once per process;
-filters apply afterwards, each named once in `FILTERS` with the frame kind
-it applies to and its test.
+The distinct keys, sorted, spell out the class representatives.  Class
+frames of one size share one `Relation` per distinct row tuple, so what a
+relation keeps (converse, successors, loops, both-ways part) is derived once
+for all of them.  The unfiltered classes of each (kind, size) are computed
+once per process; filters apply afterwards, each named once in `FILTERS`
+with the frame kind it applies to and its test.
 """
 
 from __future__ import annotations
@@ -221,8 +223,13 @@ def _classes(kind: str, n: int) -> tuple:
             second = qe(r, e) if kind == "int" else e
             keys.add(_least(r.rows + second.rows, automorphisms))
     names = _POINT_NAMES[:n]
+    relations = {}
+    for key in keys:
+        for rows in (key[:n], key[n:]):
+            if rows not in relations:
+                relations[rows] = Relation(n, tuple(rows))
     return tuple(
-        FRAME_TYPES[kind](names, Relation(n, tuple(key[:n])), Relation(n, tuple(key[n:])))
+        FRAME_TYPES[kind](names, relations[key[:n]], relations[key[n:]])
         for key in sorted(keys)
     )
 

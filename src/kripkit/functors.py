@@ -5,14 +5,25 @@ frame whose coarse relation records an r-step followed by an e-step.
 `sigma` goes the other way, expanding an intuitionistic frame into a modal
 one by taking the q-cluster equivalence.  On frames without proper clusters
 the two constructions invert each other up to isomorphism.
+
+Both constructions are memoized, `MEMO_SIZE` frames each (least recently
+used first out).  That is safe because frames are frozen and hashed by
+value, an `IntFrame` never equals an `MS4Frame`, equal frames give equal
+results, and the results are frozen too, so every caller may share them.
+An equal frame built apart gets the results built for the first one: the
+returned `QuotientMap.source` equals the argument but may be a different,
+equal object.  Each refuses a frame of the other kind with `ValueError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .frames import IntFrame, MS4Frame, Relation, er, qe
 from .morphisms import FrameMap, _image_of, is_ms4_morphism
+
+MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -32,14 +43,18 @@ class QuotientMap:
         }
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def skeleton(frame: MS4Frame) -> tuple[IntFrame, QuotientMap]:
     """Quotient a modal frame by its r-clusters.
 
     Classes are ordered by their smallest member and named by joining member
     names with "+".  The quotient order holds between classes when their
     representatives are r-related; the coarse relation holds when an r-step
-    followed by an e-step connects them.
+    followed by an e-step connects them.  The projection's `source` equals
+    `frame` but may be an equal frame passed earlier.
     """
+    if not isinstance(frame, MS4Frame):
+        raise ValueError("skeleton expects an ms4 frame")
     cluster = er(frame.r).successors
     class_index = [-1] * frame.n
     reps: list[int] = []
@@ -82,9 +97,12 @@ def skeleton_map(f: FrameMap) -> FrameMap:
     return FrameMap(quotient_s, quotient_t, tuple(image))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def sigma(frame: IntFrame) -> MS4Frame:
     """Expand an intuitionistic frame: keep r, take the q-cluster
     equivalence as e."""
+    if not isinstance(frame, IntFrame):
+        raise ValueError("sigma expects an int frame")
     return MS4Frame(frame.points, frame.r, frame.e_q())
 
 

@@ -470,6 +470,20 @@ def test_antisymmetric_modal_classes_match_int_classes():
     assert len(ints) == len(grz) == 135
 
 
+def test_class_frames_share_one_relation_per_row_tuple():
+    distinct = {}
+    for kind in ("int", "ms4"):
+        for n in range(1, 5):
+            relations = [rel for f in _classes(kind, n) for rel in (f.r, f.s)]
+            objects = {id(rel) for rel in relations}
+            assert len(objects) == len({rel.rows for rel in relations})
+            distinct[kind, n] = len(objects)
+    assert distinct == {
+        ("int", 1): 1, ("int", 2): 3, ("int", 3): 10, ("int", 4): 45,
+        ("ms4", 1): 1, ("ms4", 2): 3, ("ms4", 3): 11, ("ms4", 4): 43,
+    }
+
+
 def test_canonical_form_is_permutation_invariant():
     for kind in ("int", "ms4"):
         for frame in enumerate_frames(EnumerationConfig(kind=kind, max_points=3)):
