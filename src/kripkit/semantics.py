@@ -8,28 +8,35 @@ ascending with the last letter varying fastest, points in index order), so
 
 A pool of formulas (one formula is the pool of one) compiles into one
 postorder program, with one slot per distinct subformula and one root per
-formula, and the program runs on many valuations at a time: each slot holds
-one int per point whose bit v says whether the subformula holds there under
-valuation v of the current block (bit-slicing over the valuation space).
+formula, and the program runs on many valuations at a time (bit-slicing,
+over the points and the valuations at once).  Each slot holds one int: on a
+block of W valuations, point x owns the W-bit field at bit x * W, and bit v
+of that field says whether the subformula holds at x under valuation v of
+the block.  So `and`, `or`, `imp`, `top`, `bottom` and `letter` are one int
+operation each, and a quantifier over a relation groups its pairs (x, y) by
+offset y - x and does one shift, `or` and `and` per offset.
 
 `countermodel`, `validities` and `frame_validates` share one search,
 `_search`.  It checks every limit before any valuation is evaluated, then
 runs the pool over the valuations of its letters in blocks that follow the
 search order and grow from a small first block to a fixed width.  A formula
 reads only its own letters, so it is valid iff it holds under every
-valuation of the pool's.  A block drops the formulas it refutes, the next
-block runs the program of those still holding, and the search stops when
-none is left or the space is exhausted.  `countermodel`
-reads its witness off the refuting block: the lowest failing valuation, then
-that valuation's lowest failing point, which is the first countermodel
-above.  `truth_set` runs the same evaluator on a block of one valuation.
+valuation of the pool's: iff its root is all ones on every block.  A block
+drops the formulas it refutes, the next block runs the program of those
+still holding, and the search stops when none is left or the space is
+exhausted.  `countermodel` unpacks the refuting root: the lowest failing
+valuation, then that valuation's lowest failing point, which is the first
+countermodel above.  `truth_set` runs the same evaluator on a block of one
+valuation, where each field is one bit and each value a point mask.
 
-Nothing is rebuilt per call, and every cache is bounded: `_compile` keeps a
-program per pool (programs name the relations "r" and "s" rather than hold
-them, so they do not depend on the frame), and `_layout` the valuation
-numbering with its letter rows, per (order, letter count) on intuitionistic
-frames and per (point count, letter count) on modal ones.  The successor
-lists the programs quantify over are kept on each `Relation`.
+Nothing is rebuilt per call but the offset tables of the relations a
+program quantifies over (`_offsets`, from each `Relation`'s kept successor
+lists), and every cache is bounded: `_compile` keeps a program per pool
+(programs name the relations "r" and "s" rather than hold them, so they do
+not depend on the frame), and `_layout` the valuation numbering with the
+letters' packed first block and, when there are later blocks, their
+per-point rows, per (order, letter count) on intuitionistic frames and per
+(point count, letter count) on modal ones.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from . import syntax
-from .frames import BoundExceeded, Frame, Relation, bits, frame_to_json_dict, mask_of
+from .frames import BoundExceeded, Frame, Relation, bits, frame_to_json_dict
 
 LETTER_CAP = 3
 POINT_CAP = 6
@@ -47,10 +54,10 @@ POINT_CAP = 6
 VALUATION_BUDGET = 1 << 20
 # Valuations evaluated together: blocks start small, so a formula refuted
 # early stops early, and grow to a fixed width, which bounds memory.  The
-# first block is 256 wide because `_run` pays per instruction and per point,
-# and a 256-bit int costs little more than a 16-bit one: every problem of at
-# most 256 valuations (two letters on a 4-point modal frame, 16^2) is
-# decided in one block.
+# first block is 256 wide because `_run` pays per instruction and per
+# offset, and an int of 256 bits per point costs little more than one of 16:
+# every problem of at most 256 valuations (two letters on a 4-point modal
+# frame, 16^2) is decided in one block.
 _FIRST_BLOCK = 256
 _MAX_BLOCK = 1 << 12
 
@@ -132,15 +139,19 @@ class Valuation:
 LANGUAGE = {"int": syntax.INT, "ms4": syntax.MODAL}
 
 
-def _check_pair(frame, phi: syntax.Formula) -> None:
-    if phi.lang != LANGUAGE[frame.kind]:
-        raise ValueError(f"{frame.kind} frames evaluate {LANGUAGE[frame.kind]} formulas")
+def _check_languages(frame, langs) -> None:
+    """Raise ValueError unless each language of `langs` is the one `frame`
+    evaluates."""
+    expected = LANGUAGE[frame.kind]
+    for lang in langs:
+        if lang != expected:
+            raise ValueError(f"{frame.kind} frames evaluate {expected} formulas")
 
 
 # How each connective compiles, per formula language: (op, relation).  "all"
 # and "some" quantify over the relation's successors; "imp" with a relation
 # is the intuitionistic implication, the classical one under "all" over r.
-# `_check_pair` ties the language to the frame kind.
+# `_check_languages` ties the language to the frame kind.
 _OPS = {
     syntax.INT: {
         "and": ("and", None),
@@ -218,71 +229,99 @@ def _compile(
     return tuple(slots), roots, tuple(letters)
 
 
-def _relations(frame) -> dict[str, tuple[tuple[int, ...], ...]]:
-    """The successor lists a program's "r"/"s" labels name on `frame`."""
-    return {"r": frame.r.successors, "s": frame.s.successors}
+def _offsets(rel: Relation, width: int) -> tuple[list, list]:
+    """`rel`'s pairs (x, y) grouped by offset d = y - x, for values whose
+    fields are `width` bits wide: (down, up), lists of (|d| * width, here)
+    for the offsets d >= 0 and d < 0 that occur, where `here` has every bit
+    of the fields of the points x with x rel x + d."""
+    field = (1 << width) - 1
+    down: dict[int, int] = {}
+    up: dict[int, int] = {}
+    for x, row in enumerate(rel.successors):
+        for y in row:
+            if y >= x:
+                shift = (y - x) * width
+                down[shift] = down.get(shift, 0) | field
+            else:
+                shift = (x - y) * width
+                up[shift] = up.get(shift, 0) | field
+        field <<= width
+    return list(down.items()), list(up.items())
 
 
-def _run(
-    program, relations: dict, n: int, inputs: dict[str, list[int]], full: int
-) -> list[list[int]]:
-    """Evaluate `program` on a block of valuations; return every slot's rows.
+def _run(program, frame, width: int, inputs: dict[str, int]) -> list[int]:
+    """Evaluate `program` on `frame` over a block of `width` valuations;
+    return every slot's value.
 
-    A row is one int per point: bit v is set when the subformula holds at
-    that point under valuation v of the block.  `relations` maps "r" and "s"
-    to successor lists, `inputs` holds each letter's rows and `full` has
-    every bit of the block set.
+    A value is one int: point x owns the `width`-bit field at bit
+    x * width, and bit v of that field is set when the subformula holds at
+    x under valuation v of the block.  `inputs` holds each letter's value.
+    The boolean steps are one int operation each.  "all" and "some" read
+    the named relation's `_offsets`, built on first use in the call, and do
+    one shift, `or` and `and` per offset.
     """
-    values: list[list[int]] = []
+    ones = (1 << frame.n * width) - 1
+    tables: dict[str, tuple[list, list]] = {}
+    values: list[int] = []
+    append = values.append
     for op, a, b in program:
-        if op == "letter":
-            out = inputs[a]
-        elif op == "top":
-            out = [full] * n
-        elif op == "bottom":
-            out = [0] * n
-        elif op == "and":
-            out = [x & y for x, y in zip(values[a], values[b])]
-        elif op == "or":
-            out = [x | y for x, y in zip(values[a], values[b])]
+        if op == "all":
+            table = tables.get(b)
+            if table is None:
+                table = tables[b] = _offsets(getattr(frame, b), width)
+            down, up = table
+            # x fails it where, at some offset d with x b x + d, the body
+            # fails at x + d: field x + d of `bad` shifted onto field x.
+            bad = ones ^ values[a]
+            fails = 0
+            for shift, here in down:
+                fails |= bad >> shift & here
+            for shift, here in up:
+                fails |= bad << shift & here
+            append(ones ^ fails)
         elif op == "imp":
-            out = [full ^ x | y for x, y in zip(values[a], values[b])]
-        elif op == "all":
+            append(ones ^ values[a] | values[b])
+        elif op == "and":
+            append(values[a] & values[b])
+        elif op == "or":
+            append(values[a] | values[b])
+        elif op == "some":
+            table = tables.get(b)
+            if table is None:
+                table = tables[b] = _offsets(getattr(frame, b), width)
+            down, up = table
+            # y holds it when the body holds at some predecessor of y:
+            # field x moves onto field x + d wherever x b x + d.
             inner = values[a]
-            out = []
-            for row in relations[b]:
-                acc = full
-                for y in row:
-                    acc &= inner[y]
-                out.append(acc)
+            out = 0
+            for shift, here in down:
+                out |= (inner & here) << shift
+            for shift, here in up:
+                out |= (inner & here) >> shift
+            append(out)
+        elif op == "letter":
+            append(inputs[a])
         else:
-            # "some": y holds it when the body holds at some predecessor of y.
-            inner = values[a]
-            out = [0] * n
-            for x, row in enumerate(relations[b]):
-                if inner[x]:
-                    for y in row:
-                        out[y] |= inner[x]
-        values.append(out)
+            append(ones if op == "top" else 0)
     return values
 
 
 def truth_set(frame, valuation: Valuation, phi: syntax.Formula) -> int:
     """Mask of the points where `phi` holds.  The valuation must be built
     on `frame` and be admissible for the frame kind."""
-    _check_pair(frame, phi)
+    _check_languages(frame, (phi.lang,))
     if valuation.frame != frame:
         raise ValueError("valuation belongs to a different frame")
     if not valuation.is_admissible():
         raise ValueError("valuation assigns a set that is not an r-upset")
     program, (root,), letters = _compile((phi,))
-    assign = dict(valuation.masks)
+    inputs = dict(valuation.masks)
     for name in letters:
-        if name not in assign:
+        if name not in inputs:
             raise ValueError(f"valuation does not cover letter {name!r}")
-    inputs = {name: [mask >> x & 1 for x in range(frame.n)] for name, mask in assign.items()}
-    holds = _run(program, _relations(frame), frame.n, inputs, 1)[root]
-    return mask_of(x for x, bit in enumerate(holds) if bit)
+    # A block of one valuation: each value is a point mask, so the inputs
+    # are the valuation's masks and the root's value is the answer.
+    return _run(program, frame, 1, inputs)[root]
 
 
 @dataclass(frozen=True)
@@ -332,17 +371,32 @@ def _letter_rows(space: list[int], n: int, stride: int, reach: int) -> list[int]
     return rows
 
 
+def _pack(rows: list[int], offset: int, width: int) -> int:
+    """One letter's value on the block of `width` valuations from `offset`
+    on: point x's row, read from bit `offset`, in the field at bit
+    x * width."""
+    field = (1 << width) - 1
+    out = 0
+    for x, row in enumerate(rows):
+        out |= (row >> offset & field) << x * width
+    return out
+
+
 @lru_cache(maxsize=4096)
 def _layout(n: int, k: int, order: Relation | None) -> tuple:
     """How the valuations of `k` letters on an n-point frame are numbered:
-    (space, total, strides, periods, letter rows), all tuples.  The space is
-    the upsets of `order` for intuitionistic letters and, with `order` None,
-    all subsets for modal ones, so every n-point modal frame shares one
-    layout per letter count.
+    (space, total, strides, periods, rows, first), all tuples.  The space
+    is the upsets of `order` for intuitionistic letters and, with `order`
+    None, all subsets for modal ones, so every n-point modal frame shares
+    one layout per letter count.
 
     Valuation v gives letter i the mask space[v // strides[i] % len(space)]:
-    the order of product(space, repeat=k).  Raises BoundExceeded, before
-    building any rows, when there are more than VALUATION_BUDGET valuations.
+    the order of product(space, repeat=k).  `first` holds each letter's
+    packed value on the first block (`_pack`) and `rows` its per-point rows
+    for the later ones (`_letter_rows`); a space that fits in the first
+    block has no later blocks, so its rows are not kept.  Raises
+    BoundExceeded, before building anything, when there are more than
+    VALUATION_BUDGET valuations.
     """
     space = _characteristic_order(n) if order is None else tuple(upsets(order))
     total = len(space) ** k
@@ -356,26 +410,30 @@ def _layout(n: int, k: int, order: Relation | None) -> tuple:
         tuple(_letter_rows(space, n, stride, min(total, period + _MAX_BLOCK)))
         for stride, period in zip(strides, periods)
     )
-    return space, total, strides, periods, rows
+    first = tuple(_pack(letter_rows, 0, min(total, _FIRST_BLOCK)) for letter_rows in rows)
+    if total <= _FIRST_BLOCK:
+        rows = ()
+    return space, total, strides, periods, rows, first
 
 
-def _blocks(letters, periods, rows, total: int):
-    """The valuations 0 .. total-1 in search order, block by block: yields
-    (base, full, inputs), where bit v of the block is valuation base + v,
-    `full` has every bit of the block set and `inputs` holds each letter's
-    rows for `_run`.  Blocks grow from _FIRST_BLOCK to _MAX_BLOCK.  Widths
-    never change the first countermodel: each block reports its lowest
-    failing valuation."""
-    base, width = 0, _FIRST_BLOCK
+def _blocks(letters, layout):
+    """The valuations 0 .. total-1 of `layout` in search order, block by
+    block: yields (base, width, inputs), where bit v of each field is
+    valuation base + v and `inputs` holds each letter's value for `_run`.
+    Blocks grow from _FIRST_BLOCK to _MAX_BLOCK; the first comes packed from
+    the layout.  Widths never change the first countermodel: each block
+    reports its lowest failing valuation."""
+    _, total, _, periods, rows, first = layout
+    width = min(total, _FIRST_BLOCK)
+    yield 0, width, dict(zip(letters, first))
+    base = width
     while base < total:
-        width = min(width, total - base)
-        full = (1 << width) - 1
-        yield base, full, {
-            name: [row >> base % period & full for row in letter_rows]
+        width = min(4 * width, _MAX_BLOCK, total - base)
+        yield base, width, {
+            name: _pack(letter_rows, base % period, width)
             for name, period, letter_rows in zip(letters, periods, rows)
         }
         base += width
-        width = min(4 * width, _MAX_BLOCK)
 
 
 def _search(frame, formulas: tuple, letter_cap: int, point_cap: int) -> tuple:
@@ -385,16 +443,17 @@ def _search(frame, formulas: tuple, letter_cap: int, point_cap: int) -> tuple:
     exhausted.
 
     Everything is checked, and BoundExceeded or ValueError raised, before
-    any valuation is evaluated: each formula's language, the point cap, the
-    letter cap on the pool's letters and `_layout`'s VALUATION_BUDGET.  After
-    a block refutes some formulas, the next blocks run `_compile`'s cached
+    any valuation is evaluated: the pool's languages, the point cap, the
+    letter cap on the pool's letters and `_layout`'s VALUATION_BUDGET.  A
+    formula holds on a block when its root has every bit set.  After a
+    block refutes some formulas, the next blocks run `_compile`'s cached
     program for those still holding, in pool order.  Returns (holding,
-    letters, layout, base, full, rows): the pool positions that hold under
-    every valuation, and the last block evaluated, whose bit v is valuation
-    base + v, with the rows of each root that block ran.
+    letters, layout, base, width, values, roots): the pool positions that
+    hold under every valuation, and the last block evaluated, whose bit v
+    of each field is valuation base + v, with the values of the program
+    that block ran and the roots of the formulas it ran.
     """
-    for phi in formulas:
-        _check_pair(frame, phi)
+    _check_languages(frame, {phi.lang for phi in formulas})
     program, slots, letters = _compile(formulas)
     n = frame.n
     if n > point_cap:
@@ -403,18 +462,17 @@ def _search(frame, formulas: tuple, letter_cap: int, point_cap: int) -> tuple:
         subject = "formula" if len(formulas) == 1 else "pool"
         raise BoundExceeded(f"{subject} has {len(letters)} letters, cap is {letter_cap}")
     layout = _layout(n, len(letters), frame.r if frame.kind == "int" else None)
-    _, total, _, periods, rows = layout
-    relations = _relations(frame)
     # The pool positions not yet refuted, and their roots in `program`.
     holding = range(len(formulas))
-    for base, full, inputs in _blocks(letters, periods, rows, total):
+    for base, width, inputs in _blocks(letters, layout):
         if len(slots) > len(holding):
             program, slots, _ = _compile(tuple(formulas[i] for i in holding))
-        values = _run(program, relations, n, inputs, full)
-        holding = [i for i, slot in zip(holding, slots) if values[slot].count(full) == n]
+        values = _run(program, frame, width, inputs)
+        ones = (1 << n * width) - 1
+        holding = [i for i, slot in zip(holding, slots) if values[slot] == ones]
         if not holding:
             break
-    return holding, letters, layout, base, full, [values[slot] for slot in slots]
+    return holding, letters, layout, base, width, values, slots
 
 
 def countermodel(
@@ -431,17 +489,22 @@ def countermodel(
     the caps, a search over more than VALUATION_BUDGET valuations raises
     BoundExceeded before it starts.
     """
-    holding, letters, layout, base, full, (holds,) = _search(frame, (phi,), letter_cap, point_cap)
+    holding, letters, layout, base, width, values, (root,) = _search(
+        frame, (phi,), letter_cap, point_cap
+    )
     if holding:
         return None
     # The block that refuted `phi`: its lowest failing valuation first, then
-    # that valuation's lowest failing point.
+    # that valuation's lowest failing point.  Folding every field onto the
+    # first leaves the lowest failing valuation as the lowest set bit.
+    n = frame.n
+    fails = ((1 << n * width) - 1) ^ values[root]
     failing = 0
-    for row in holds:
-        failing |= full ^ row
+    for x in range(n):
+        failing |= fails >> x * width
     v = (failing & -failing).bit_length() - 1
-    point = next(x for x, row in enumerate(holds) if not row >> v & 1)
-    space, _, strides, _, _ = layout
+    point = next(x for x in range(n) if fails >> x * width + v & 1)
+    space, _, strides, _, _, _ = layout
     index = base + v
     assign = {name: space[index // stride % len(space)] for name, stride in zip(letters, strides)}
     return Countermodel(frame, Valuation.from_masks(frame, assign), point, phi)

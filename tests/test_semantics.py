@@ -45,7 +45,7 @@ from kripkit.syntax import (
     star_translate,
     top,
 )
-from kripkit.workbench import translation_formulas
+from kripkit.workbench import load_frame, save_frame, translation_formulas
 
 
 def from_points(frame, assignment: dict[str, list[int]]) -> Valuation:
@@ -536,7 +536,8 @@ def test_validities_match_countermodel_across_blocks():
         space = upsets(frame.r) if lang == INT else subsets(frame.n)
         if len(space) < 7:
             continue
-        assert len(list(semantics._blocks((), (), (), len(space) ** 3))) >= 2
+        layout = semantics._layout(frame.n, 3, frame.r if lang == INT else None)
+        assert len(list(semantics._blocks(("p", "q", "r"), layout))) >= 2
         pool = [random_formula(rng, ("p", "q", "r"), 3, lang) for _ in range(8)]
         assert validities(frame, pool) == _one_by_one(frame, pool)
 
@@ -553,7 +554,8 @@ def test_validities_recompile_the_survivors_between_blocks(monkeypatch):
     pool = [parse(text, MODAL) for text in texts]
     firsts = [dict(countermodel(frame, phi).valuation.masks) for phi in pool[1:]]
     assert firsts == [{"q": 0, "r": 0}, {"p": 0b1000}, {"p": 0b1111}]
-    widths = [full.bit_length() for _, full, _ in semantics._blocks((), (), (), 4096)]
+    layout = semantics._layout(4, 3, None)
+    widths = [width for _, width, _ in semantics._blocks(("p", "q", "r"), layout)]
     assert widths == [256, 1024, 2816]
     assert _one_by_one(frame, pool) == (True, False, False, False)
     programs = []
@@ -579,6 +581,200 @@ def test_validities_recompile_the_survivors_between_blocks(monkeypatch):
     assert len(programs) == 6
     assert programs[3:] == programs[:3]
     assert semantics._compile.cache_info().misses == misses
+
+
+# --- block-level oracle ---------------------------------------------------------
+# The evaluator `_run` was before it packed the points into one int per slot:
+# a slot holds one int per point, whose bit v says whether the subformula
+# holds there under valuation v of the block.  Every packed value, unpacked
+# field by field, must equal its rows.
+
+
+def rows_run(program, relations: dict, n: int, inputs: dict, full: int) -> list:
+    """Evaluate `program` on a block of valuations; return every slot's rows.
+    `relations` maps "r" and "s" to successor lists, `inputs` holds each
+    letter's rows and `full` has every bit of the block set."""
+    values: list[list[int]] = []
+    for op, a, b in program:
+        if op == "letter":
+            out = inputs[a]
+        elif op == "top":
+            out = [full] * n
+        elif op == "bottom":
+            out = [0] * n
+        elif op == "and":
+            out = [x & y for x, y in zip(values[a], values[b])]
+        elif op == "or":
+            out = [x | y for x, y in zip(values[a], values[b])]
+        elif op == "imp":
+            out = [full ^ x | y for x, y in zip(values[a], values[b])]
+        elif op == "all":
+            inner = values[a]
+            out = []
+            for row in relations[b]:
+                acc = full
+                for y in row:
+                    acc &= inner[y]
+                out.append(acc)
+        else:
+            # "some": y holds it when the body holds at some predecessor of y.
+            inner = values[a]
+            out = [0] * n
+            for x, row in enumerate(relations[b]):
+                if inner[x]:
+                    for y in row:
+                        out[y] |= inner[x]
+        values.append(out)
+    return values
+
+
+def unpack(value: int, n: int, width: int) -> list[int]:
+    """A packed value's rows: point x's field starts at bit x * width."""
+    field = (1 << width) - 1
+    return [value >> x * width & field for x in range(n)]
+
+
+def letter_rows(layout, letters, n: int, base: int, width: int) -> dict:
+    """Each letter's rows on the block of `width` valuations from `base`,
+    read off the numbering: bit v of point x's row is set when valuation
+    base + v gives the letter a set that holds x."""
+    space, _, strides, _, _, _ = layout
+    return {
+        name: [
+            mask_of(v for v in range(width) if space[(base + v) // stride % len(space)] >> x & 1)
+            for x in range(n)
+        ]
+        for name, stride in zip(letters, strides)
+    }
+
+
+def assert_blocks_match_rows(frame, pool) -> list[int]:
+    """On every block of the pool's search space on `frame`, the packed
+    letter inputs and every slot's packed value, unpacked, equal the rows of
+    the numbering and of `rows_run`.  Returns the block widths."""
+    program, _, letters = semantics._compile(tuple(pool))
+    n = frame.n
+    layout = semantics._layout(n, len(letters), frame.r if frame.kind == "int" else None)
+    relations = {"r": frame.r.successors, "s": frame.s.successors}
+    widths = []
+    for base, width, inputs in semantics._blocks(letters, layout):
+        rows = {name: unpack(value, n, width) for name, value in inputs.items()}
+        assert rows == letter_rows(layout, letters, n, base, width)
+        expected = rows_run(program, relations, n, rows, (1 << width) - 1)
+        got = semantics._run(program, frame, width, inputs)
+        assert [unpack(value, n, width) for value in got] == expected
+        widths.append(width)
+    assert sum(widths) == layout[1]
+    return widths
+
+
+def test_blocks_match_rows_on_the_translation_pools():
+    # Two letters: each search is one block, on every frame of at most three
+    # points and a sample of the four-point ones.
+    for frame in SMALL_FRAMES + FOUR_POINT_FRAMES[::20]:
+        pool = TRANSLATION_POOLS[INT if isinstance(frame, IntFrame) else MODAL]
+        assert len(assert_blocks_match_rows(frame, pool)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame=st.sampled_from(SMALL_FRAMES + FOUR_POINT_FRAMES), drawn=DRAWN, picks=PICKS)
+def test_blocks_match_rows_on_drawn_pools(frame, drawn, picks):
+    pool = drawn_pool(INT if isinstance(frame, IntFrame) else MODAL, drawn, picks)
+    assert_blocks_match_rows(frame, pool)
+
+
+def test_blocks_match_rows_across_blocks():
+    # Three letters over at least 7 sets: at least two blocks, the last one
+    # narrower than the schedule's width (512 = 256 + 256 on three points,
+    # 4,096 = 256 + 1,024 + 2,816 on four).
+    rng = random.Random(23)
+    narrower = set()
+    for frame in SMALL_FRAMES + FOUR_POINT_FRAMES[::16]:
+        lang = INT if isinstance(frame, IntFrame) else MODAL
+        space = upsets(frame.r) if lang == INT else subsets(frame.n)
+        if len(space) < 7:
+            continue
+        pool = [random_formula(rng, ("p", "q", "r"), 3, lang) for _ in range(4)]
+        widths = assert_blocks_match_rows(frame, pool + [parse("p | q | r", lang)])
+        assert len(widths) >= 2
+        narrower.add(tuple(widths))
+    assert (256, 256) in narrower and (256, 1024, 2816) in narrower
+
+
+# --- irregular relations --------------------------------------------------------
+# Frames built without validation, or loaded raw, whose relations are not
+# quasi-orders.  Point c has no successor under either relation, so `box`
+# and `forall` hold there vacuously and `exists` gets nothing from it.
+
+
+IRREGULAR = [
+    # r: a -> b -> c, not reflexive, not transitive; e neither.
+    MS4Frame(
+        ("a", "b", "c"),
+        Relation.from_pairs(3, [(0, 1), (1, 2)]),
+        Relation.from_pairs(3, [(0, 2), (1, 0), (1, 1)]),
+    ),
+    # r: a loop at a only, b -> a, a -> c; e: a <-> b, b -> c.
+    MS4Frame(
+        ("a", "b", "c"),
+        Relation.from_pairs(3, [(0, 0), (1, 0), (0, 2)]),
+        Relation.from_pairs(3, [(0, 1), (1, 0), (1, 2)]),
+    ),
+    # r: a -> b -> c; q: a <-> b, b -> c.
+    IntFrame(
+        ("a", "b", "c"),
+        Relation.from_pairs(3, [(0, 1), (1, 2)]),
+        Relation.from_pairs(3, [(0, 1), (1, 0), (1, 2)]),
+    ),
+    # r: a cycle a -> b -> d -> a past the empty c; q: d -> c, a -> d.
+    IntFrame(
+        ("a", "b", "c", "d"),
+        Relation.from_pairs(4, [(0, 1), (1, 3), (3, 0), (0, 0)]),
+        Relation.from_pairs(4, [(3, 2), (0, 3), (1, 1)]),
+    ),
+]
+
+IRREGULAR_POOLS = {
+    lang: [
+        random_formula(random.Random(seed), ("p", "q")[: 1 + seed % 2], 1 + seed % 4, lang)
+        for seed in range(40)
+    ]
+    for lang in (INT, MODAL)
+}
+IRREGULAR_POOLS[INT] += corpus("mipc_axioms") + corpus("monadic_casari")
+IRREGULAR_POOLS[MODAL] += [godel_translate(phi) for phi in corpus("mipc_axioms")]
+
+
+def test_irregular_frames_break_every_order_condition():
+    for frame in IRREGULAR:
+        assert frame.r.rows[2] == frame.s.rows[2] == 0
+    relations = [rel for frame in IRREGULAR for rel in (frame.r, frame.s)]
+    assert all(not rel.is_reflexive() for rel in relations)
+    assert all(not rel.is_transitive() for rel in relations)
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["built", "loaded-raw"])
+def test_irregular_frames_match_the_oracles(raw, tmp_path):
+    for index, frame in enumerate(IRREGULAR):
+        if raw:
+            path = tmp_path / f"irregular-{index}.json"
+            save_frame(frame, str(path))
+            frame = load_frame(str(path), raw=True)
+        lang = INT if isinstance(frame, IntFrame) else MODAL
+        pool = IRREGULAR_POOLS[lang]
+        expected = [oracle_countermodel(frame, phi) for phi in pool]
+        for phi, first in zip(pool, expected):
+            found = countermodel(frame, phi)
+            assert (None if found is None else (found.valuation.masks, found.point)) == first
+        assert validities(frame, pool) == tuple(first is None for first in expected)
+        space = upsets(frame.r) if lang == INT else subsets(frame.n)
+        for phi in pool:
+            letters = phi.letters()
+            for combo in product(space, repeat=len(letters)):
+                assign = dict(zip(letters, combo))
+                valuation = Valuation.from_masks(frame, assign)
+                assert truth_set(frame, valuation, phi) == oracle_truth(frame, assign, phi)
+        assert_blocks_match_rows(frame, pool)
 
 
 class TestValiditiesContract:
