@@ -8,30 +8,38 @@ ascending with the last letter varying fastest, points in index order), so
 
 A pool of formulas (one formula is the pool of one) compiles into one
 postorder program, with one slot per distinct subformula and one root per
-formula, and the program runs on many valuations at a time (bit-slicing,
-over the points and the valuations at once).  Each slot holds one int: on a
-block of W valuations, point x owns the W-bit field at bit x * W, and bit v
-of that field says whether the subformula holds at x under valuation v of
-the block.  So `and`, `or`, `imp`, `top`, `bottom` and `letter` are one int
-operation each, and a quantifier over a relation groups its pairs (x, y) by
-offset y - x and does one shift, `or` and `and` per offset.
+distinct formula, and the program runs on many valuations of many frames at
+a time (bit-slicing, over the frames, the points and the valuations at
+once).  A search runs on a batch of frames that share one valuation layout:
+the same kind, the same point count n and, on intuitionistic frames, the
+same r.  Each slot holds one int: on a block of W valuations, point x of
+frame j owns the W-bit field at bit (j * n + x) * W, and bit v of that
+field says whether the subformula holds there under valuation v of the
+block.  So `and`, `or`, `imp`, `top`, `bottom` and `letter` are one int
+operation each, and a quantifier over a relation groups the pairs (x, y) of
+every frame's relation by offset y - x and does one shift, `or` and `and`
+per offset: at most 2n - 1 of them, whatever the batch size.
 
-`countermodel`, `validities` and `frame_validates` share one search,
-`_search`.  It checks every limit before any valuation is evaluated, then
-runs the pool over the valuations of its letters in blocks that follow the
+`countermodel`, `validities` and `frame_validates` search a batch of one
+frame and `validities_on` batches of many; all share one search, `_search`.
+Every limit is checked before any valuation is evaluated.  The search runs
+the pool over the valuations of its letters in blocks that follow the
 search order and grow from a small first block to a fixed width.  A formula
-reads only its own letters, so it is valid iff it holds under every
-valuation of the pool's: iff its root is all ones on every block.  A block
-drops the formulas it refutes, the next block runs the program of those
-still holding, and the search stops when none is left or the space is
+reads only its own letters, so it is valid on a frame iff it holds there
+under every valuation of the pool's: iff its root's fields of that frame
+are all ones on every block.  A block drops the (frame, formula) pairs it
+refutes, the next block runs the program of the formulas still holding on
+some frame, and the search stops when no pair is left or the space is
 exhausted.  `countermodel` unpacks the refuting root: the lowest failing
 valuation, then that valuation's lowest failing point, which is the first
 countermodel above.  `truth_set` runs the same evaluator on a block of one
 valuation, where each field is one bit and each value a point mask.
 
-Nothing is rebuilt per call but the offset tables of the relations a
-program quantifies over (`_offsets`, from each `Relation`'s kept successor
-lists), and every cache is bounded: `_compile` keeps a program per pool
+Rebuilt per block are only the letters' inputs repeated once per frame of
+the batch, and the offset tables of the relations the program quantifies
+over (`_offsets`, from the kept successor lists of the batch's relations,
+side by side); a batch of one frame repeats nothing and its table is that
+frame's.  Every cache is bounded: `_compile` keeps a program per pool
 (programs name the relations "r" and "s" rather than hold them, so they do
 not depend on the frame), and `_layout` the valuation numbering with the
 letters' packed first block and, when there are later blocks, their
@@ -60,6 +68,10 @@ VALUATION_BUDGET = 1 << 20
 # frame, 16^2) is decided in one block.
 _FIRST_BLOCK = 256
 _MAX_BLOCK = 1 << 12
+# Most bits a batch's values may hold on its first block: `validities_on`
+# puts that many bits' worth of frames of one layout side by side.  Wider
+# values make big-int work dominate the per-instruction cost a batch saves.
+_BATCH_BITS = 1 << 12
 
 
 def is_upset(rel: Relation, mask: int) -> bool:
@@ -229,38 +241,43 @@ def _compile(
     return tuple(slots), roots, tuple(letters)
 
 
-def _offsets(rel: Relation, width: int) -> tuple[list, list]:
-    """`rel`'s pairs (x, y) grouped by offset d = y - x, for values whose
-    fields are `width` bits wide: (down, up), lists of (|d| * width, here)
-    for the offsets d >= 0 and d < 0 that occur, where `here` has every bit
-    of the fields of the points x with x rel x + d."""
+def _offsets(frames, name: str, width: int) -> tuple[list, list]:
+    """The pairs (x, y) of relation `name` ("r" or "s") of every frame of a
+    batch, grouped by offset d = y - x, for values whose fields are `width`
+    bits wide: (down, up), lists of (|d| * width, here) for the offsets
+    d >= 0 and d < 0 that occur, where `here` has every bit of the fields
+    of the points x with x rel x + d.  Frame j's point x owns field
+    j * n + x, so the pairs never cross frames and one frame's table is
+    its own."""
     field = (1 << width) - 1
     down: dict[int, int] = {}
     up: dict[int, int] = {}
-    for x, row in enumerate(rel.successors):
-        for y in row:
-            if y >= x:
-                shift = (y - x) * width
-                down[shift] = down.get(shift, 0) | field
-            else:
-                shift = (x - y) * width
-                up[shift] = up.get(shift, 0) | field
-        field <<= width
+    for frame in frames:
+        for x, row in enumerate(getattr(frame, name).successors):
+            for y in row:
+                if y >= x:
+                    shift = (y - x) * width
+                    down[shift] = down.get(shift, 0) | field
+                else:
+                    shift = (x - y) * width
+                    up[shift] = up.get(shift, 0) | field
+            field <<= width
     return list(down.items()), list(up.items())
 
 
-def _run(program, frame, width: int, inputs: dict[str, int]) -> list[int]:
-    """Evaluate `program` on `frame` over a block of `width` valuations;
-    return every slot's value.
+def _run(program, frames, width: int, inputs: dict[str, int]) -> list[int]:
+    """Evaluate `program` on a batch of `frames`, which share one point
+    count n, over a block of `width` valuations; return every slot's value.
 
-    A value is one int: point x owns the `width`-bit field at bit
-    x * width, and bit v of that field is set when the subformula holds at
-    x under valuation v of the block.  `inputs` holds each letter's value.
-    The boolean steps are one int operation each.  "all" and "some" read
-    the named relation's `_offsets`, built on first use in the call, and do
-    one shift, `or` and `and` per offset.
+    A value is one int: point x of frame j owns the `width`-bit field at
+    bit (j * n + x) * width, and bit v of that field is set when the
+    subformula holds there under valuation v of the block.  `inputs` holds
+    each letter's value.  The boolean steps are one int operation each.
+    "all" and "some" read the `_offsets` of the named relation of every
+    frame, built on first use in the call, and do one shift, `or` and `and`
+    per offset.
     """
-    ones = (1 << frame.n * width) - 1
+    ones = (1 << len(frames) * frames[0].n * width) - 1
     tables: dict[str, tuple[list, list]] = {}
     values: list[int] = []
     append = values.append
@@ -268,7 +285,7 @@ def _run(program, frame, width: int, inputs: dict[str, int]) -> list[int]:
         if op == "all":
             table = tables.get(b)
             if table is None:
-                table = tables[b] = _offsets(getattr(frame, b), width)
+                table = tables[b] = _offsets(frames, b, width)
             down, up = table
             # x fails it where, at some offset d with x b x + d, the body
             # fails at x + d: field x + d of `bad` shifted onto field x.
@@ -288,7 +305,7 @@ def _run(program, frame, width: int, inputs: dict[str, int]) -> list[int]:
         elif op == "some":
             table = tables.get(b)
             if table is None:
-                table = tables[b] = _offsets(getattr(frame, b), width)
+                table = tables[b] = _offsets(frames, b, width)
             down, up = table
             # y holds it when the body holds at some predecessor of y:
             # field x moves onto field x + d wherever x b x + d.
@@ -321,7 +338,7 @@ def truth_set(frame, valuation: Valuation, phi: syntax.Formula) -> int:
             raise ValueError(f"valuation does not cover letter {name!r}")
     # A block of one valuation: each value is a point mask, so the inputs
     # are the valuation's masks and the root's value is the answer.
-    return _run(program, frame, 1, inputs)[root]
+    return _run(program, (frame,), 1, inputs)[root]
 
 
 @dataclass(frozen=True)
@@ -436,23 +453,12 @@ def _blocks(letters, layout):
         base += width
 
 
-def _search(frame, formulas: tuple, letter_cap: int, point_cap: int) -> tuple:
-    """The valuation search behind `countermodel`, `validities` and
-    `frame_validates`: run the pool's program over the valuations of its
-    letters, block by block, until every formula is refuted or the space is
-    exhausted.
-
-    Everything is checked, and BoundExceeded or ValueError raised, before
-    any valuation is evaluated: the pool's languages, the point cap, the
-    letter cap on the pool's letters and `_layout`'s VALUATION_BUDGET.  A
-    formula holds on a block when its root has every bit set.  After a
-    block refutes some formulas, the next blocks run `_compile`'s cached
-    program for those still holding, in pool order.  Returns (holding,
-    letters, layout, base, width, values, roots): the pool positions that
-    hold under every valuation, and the last block evaluated, whose bit v
-    of each field is valuation base + v, with the values of the program
-    that block ran and the roots of the formulas it ran.
-    """
+def _limits(frame, formulas: tuple, letter_cap: int, point_cap: int) -> tuple:
+    """Check every limit of a search of `formulas` on `frame`: the pool's
+    languages, the point cap, the letter cap on the pool's letters and
+    `_layout`'s VALUATION_BUDGET.  Frames that share a layout pass or fail
+    alike.  Returns (program, roots, letters, layout): `_compile`'s program
+    for the pool and the search's `_layout`."""
     _check_languages(frame, {phi.lang for phi in formulas})
     program, slots, letters = _compile(formulas)
     n = frame.n
@@ -462,17 +468,74 @@ def _search(frame, formulas: tuple, letter_cap: int, point_cap: int) -> tuple:
         subject = "formula" if len(formulas) == 1 else "pool"
         raise BoundExceeded(f"{subject} has {len(letters)} letters, cap is {letter_cap}")
     layout = _layout(n, len(letters), frame.r if frame.kind == "int" else None)
-    # The pool positions not yet refuted, and their roots in `program`.
-    holding = range(len(formulas))
+    return program, slots, letters, layout
+
+
+def _search(frames, formulas: tuple, checked: tuple) -> tuple:
+    """The valuation search behind every entry point: run the pool's program
+    over the valuations of its letters on a batch of `frames` that share
+    one layout, block by block, until every (frame, formula) pair is
+    refuted or the space is exhausted.
+
+    `checked` is what `_limits` returned for a frame of the batch, so every
+    limit was checked before any valuation is evaluated.  Equal formulas
+    share a root, so each distinct root is decided once.  A formula holds
+    on frame j on a block when its root has every bit of frame j's fields
+    set.  After a block refutes a formula on the last frame it held on, the
+    next blocks run `_compile`'s cached program for the formulas still
+    holding somewhere, in pool order.  Returns (held, base, width, values,
+    roots): `held` maps each of the pool's roots that holds on some frame
+    under every valuation to the mask of those frames (bit j for frame j);
+    then the last block evaluated, whose bit v of each field is valuation
+    base + v, with the values of the program that block ran and the roots
+    of the formulas it ran.
+    """
+    program, slots, letters, layout = checked
+    n = frames[0].n
+    count = len(frames)
+    # The distinct roots still holding on some frame, in pool order, each
+    # with the mask of those frames; `roots` are their roots in the program
+    # a block runs, at first the keys themselves.
+    held = dict.fromkeys(slots, (1 << count) - 1)
+    roots = held
     for base, width, inputs in _blocks(letters, layout):
-        if len(slots) > len(holding):
-            program, slots, _ = _compile(tuple(formulas[i] for i in holding))
-        values = _run(program, frame, width, inputs)
-        ones = (1 << n * width) - 1
-        holding = [i for i, slot in zip(holding, slots) if values[slot] == ones]
-        if not holding:
+        if len(roots) > len(held):
+            formula_of = dict(zip(slots, formulas))
+            program, roots, _ = _compile(tuple([formula_of[slot] for slot in held]))
+        size = n * width  # the bits of one frame's fields
+        ones = (1 << count * size) - 1
+        if count > 1:
+            # A packed value times `repeat`, which has bit j * size for
+            # each frame j, is that value in every frame's fields.
+            repeat = ones // ((1 << size) - 1)
+            inputs = {name: value * repeat for name, value in inputs.items()}
+            # The top bit of each frame's fields, and every bit below it.
+            below = repeat * ((1 << size - 1) - 1)
+            top = ones ^ below
+        values = _run(program, frames, width, inputs)
+        still = {}
+        for (slot, on), root in zip(held.items(), roots):
+            fails = ones ^ values[root]
+            if fails:
+                if count == 1:
+                    continue
+                # Adding `below` carries into the top bit of each frame's
+                # fields that fail below it, and no further: bit j * size +
+                # size - 1 of `failing` is set when frame j is refuted.
+                failing = ((fails & below) + below | fails) & top
+                if failing == top:
+                    continue
+                while failing:
+                    j = failing.bit_length() // size - 1
+                    on &= ~(1 << j)
+                    failing ^= 1 << (j + 1) * size - 1
+                if not on:
+                    continue
+            still[slot] = on
+        held = still
+        if not held:
             break
-    return holding, letters, layout, base, width, values, slots
+    return held, base, width, values, roots
 
 
 def countermodel(
@@ -489,10 +552,9 @@ def countermodel(
     the caps, a search over more than VALUATION_BUDGET valuations raises
     BoundExceeded before it starts.
     """
-    holding, letters, layout, base, width, values, (root,) = _search(
-        frame, (phi,), letter_cap, point_cap
-    )
-    if holding:
+    checked = _limits(frame, (phi,), letter_cap, point_cap)
+    held, base, width, values, (root,) = _search((frame,), (phi,), checked)
+    if held:
         return None
     # The block that refuted `phi`: its lowest failing valuation first, then
     # that valuation's lowest failing point.  Folding every field onto the
@@ -504,7 +566,7 @@ def countermodel(
         failing |= fails >> x * width
     v = (failing & -failing).bit_length() - 1
     point = next(x for x in range(n) if fails >> x * width + v & 1)
-    space, _, strides, _, _, _ = layout
+    _, _, letters, (space, _, strides, _, _, _) = checked
     index = base + v
     assign = {name: space[index // stride % len(space)] for name, stride in zip(letters, strides)}
     return Countermodel(frame, Valuation.from_masks(frame, assign), point, phi)
@@ -521,10 +583,51 @@ def validities(
 
     The letter cap and VALUATION_BUDGET apply to the pool, not to each
     formula.  Equal formulas share a root, so they get the same answer.
+    This is `validities_on` on the one frame.
+    """
+    return validities_on((frame,), formulas, letter_cap=letter_cap, point_cap=point_cap)[0]
+
+
+def validities_on(
+    frames,
+    formulas,
+    *,
+    letter_cap: int = LETTER_CAP,
+    point_cap: int = POINT_CAP,
+) -> list[tuple[bool, ...]]:
+    """For each frame, in order, what `validities` answers on it.
+
+    The frames are grouped by valuation layout (kind, point count and, on
+    intuitionistic frames, the rows of r), and each group is searched in
+    batches of as many frames as fit side by side in _BATCH_BITS bits on the
+    first block, one `_search` per batch.  Every limit `validities` checks
+    is checked for every frame before any block is evaluated.
     """
     formulas = tuple(formulas)
-    held = set(_search(frame, formulas, letter_cap, point_cap)[0])
-    return tuple([i in held for i in range(len(formulas))])
+    frames = list(frames)
+    groups: dict[tuple, list[int]] = {}
+    for index, frame in enumerate(frames):
+        key = (frame.kind, frame.n, frame.r.rows if frame.kind == "int" else None)
+        groups.setdefault(key, []).append(index)
+    checks = [
+        _limits(frames[group[0]], formulas, letter_cap, point_cap) for group in groups.values()
+    ]
+    out: list = [()] * len(frames)
+    for group, checked in zip(groups.values(), checks):
+        _, slots, _, (_, total, *_) = checked
+        step = max(1, _BATCH_BITS // (frames[group[0]].n * min(total, _FIRST_BLOCK)))
+        for start in range(0, len(group), step):
+            batch = group[start : start + step]
+            held = _search([frames[i] for i in batch], formulas, checked)[0]
+            # Per root, its answer on each frame of the batch; the answers
+            # of a frame are one row across the pool's roots.
+            frame_bits = range(len(batch))
+            columns = {root: [on >> j & 1 == 1 for j in frame_bits] for root, on in held.items()}
+            refuted = [False] * len(batch)
+            rows = zip(*[columns.get(slot, refuted) for slot in slots])
+            for index, answers in zip(batch, rows):
+                out[index] = answers
+    return out
 
 
 def frame_validates(
@@ -535,4 +638,5 @@ def frame_validates(
     point_cap: int = POINT_CAP,
 ) -> bool:
     """True when every admissible valuation makes `phi` true everywhere."""
-    return bool(_search(frame, (phi,), letter_cap, point_cap)[0])
+    checked = _limits(frame, (phi,), letter_cap, point_cap)
+    return bool(_search((frame,), (phi,), checked)[0])

@@ -109,7 +109,7 @@ def translation_formulas() -> list[syntax.Formula]:
 @cache
 def _translation_pools() -> tuple[tuple[syntax.Formula, ...], tuple[syntax.Formula, ...]]:
     """The translation pool and its Godel translations, built once per
-    process: every run passes `semantics.validities` the same two tuples,
+    process: every run passes `semantics.validities_on` the same two tuples,
     which its program cache finds by identity rather than by comparing
     formulas."""
     pool = tuple(translation_formulas())
@@ -173,12 +173,12 @@ def _run_grz_finite(bound: int) -> tuple[int, list[str]]:
     for n in range(1, bound + 1):
         names = tuple(f"x{i}" for i in range(n))
         identity = Relation.identity(n)
-        for rel in quasi_orders(n):
+        orders = list(quasi_orders(n))
+        frames = [MS4Frame(names, rel, identity) for rel in orders]
+        for rel, (by_validity,) in zip(orders, semantics.validities_on(frames, (grz,))):
             instances += 1
             by_max = grz_max_check(rel)
             by_order = rel.is_antisymmetric()
-            frame = MS4Frame(names, rel, identity)
-            by_validity = semantics.frame_validates(frame, grz)
             if not (by_max == by_order == by_validity):
                 failures.append(
                     f"r={rel.pairs()}: max-check={by_max} "
@@ -234,19 +234,21 @@ def _quotient_key(quotient) -> tuple:
 
 def _run_translation(bound: int) -> tuple[int, list[str]]:
     pool, images = _translation_pools()
+    frames = _enumerate("ms4", bound)
     # Each distinct quotient is decided once per run, keyed by its rows
     # (`_quotient_key`), since quotients of one shape differ in point names.
-    decided: dict[tuple, tuple[bool, ...]] = {}
-    instances = 0
-    failures = []
-    for frame in _enumerate("ms4", bound):
+    quotients: dict[tuple, object] = {}
+    keys = []
+    for frame in frames:
         quotient, _ = skeleton(frame)
         key = _quotient_key(quotient)
-        on_quotient = decided.get(key)
-        if on_quotient is None:
-            on_quotient = decided[key] = semantics.validities(quotient, pool)
-        answers = zip(pool, on_quotient, semantics.validities(frame, images))
-        for phi, direct, translated in answers:
+        quotients.setdefault(key, quotient)
+        keys.append(key)
+    decided = dict(zip(quotients, semantics.validities_on(quotients.values(), pool)))
+    instances = 0
+    failures = []
+    for frame, key, on_frame in zip(frames, keys, semantics.validities_on(frames, images)):
+        for phi, direct, translated in zip(pool, decided[key], on_frame):
             instances += 1
             if direct != translated:
                 failures.append(

@@ -27,6 +27,7 @@ from kripkit.semantics import (
     truth_set,
     upsets,
     validities,
+    validities_on,
 )
 from kripkit.syntax import (
     INT,
@@ -491,6 +492,31 @@ FOUR_POINT_FRAMES = [
 ]
 
 
+def layout_key(frame) -> tuple:
+    """What frames of one valuation layout share: kind, point count and, on
+    intuitionistic frames, the rows of r."""
+    return frame.kind, frame.n, frame.r.rows if frame.kind == "int" else None
+
+
+def layout_groups(frames) -> list[list]:
+    """`frames` grouped by `layout_key`, in order of first appearance."""
+    groups: dict[tuple, list] = {}
+    for frame in frames:
+        groups.setdefault(layout_key(frame), []).append(frame)
+    return list(groups.values())
+
+
+GROUP_OF = {
+    layout_key(group[0]): group for group in layout_groups(SMALL_FRAMES + FOUR_POINT_FRAMES)
+}
+
+
+def batch_of(frame, picks) -> list:
+    """A batch of `frame` and, for each pick, a frame of its layout."""
+    group = GROUP_OF[layout_key(frame)]
+    return [frame] + [group[i % len(group)] for i in picks]
+
+
 def test_validities_match_countermodel_on_the_translation_pools():
     for frame in SMALL_FRAMES + FOUR_POINT_FRAMES[::40]:
         pool = TRANSLATION_POOLS[INT if isinstance(frame, IntFrame) else MODAL]
@@ -561,26 +587,166 @@ def test_validities_recompile_the_survivors_between_blocks(monkeypatch):
     programs = []
     run = semantics._run
 
-    def recorded(program, *args):
-        programs.append(program)
-        return run(program, *args)
+    def recorded(program, frames, width, inputs):
+        programs.append((program, len(frames), width))
+        return run(program, frames, width, inputs)
 
     monkeypatch.setattr(semantics, "_run", recorded)
     assert validities(frame, pool) == (True, False, False, False)
     # Each block after a refutation runs the cached program of the formulas
     # still holding, in pool order, which is shorter.
-    assert len(programs) == 3
-    assert len(programs[0]) > len(programs[1]) > len(programs[2])
-    assert programs[1] is semantics._compile((pool[0], pool[2], pool[3]))[0]
-    assert programs[2] is semantics._compile((pool[0], pool[3]))[0]
+    assert [(count, width) for _, count, width in programs] == [(1, 256), (1, 1024), (1, 2816)]
+    ran = [program for program, _, _ in programs]
+    assert len(ran[0]) > len(ran[1]) > len(ran[2])
+    assert ran[1] is semantics._compile((pool[0], pool[2], pool[3]))[0]
+    assert ran[2] is semantics._compile((pool[0], pool[3]))[0]
     # The pool reads no `forall`, so a frame with another s refutes the same
-    # formulas in the same blocks and compiles nothing new.
+    # formulas in the same blocks and compiles nothing new, alone or in one
+    # batch with the first frame.
     misses = semantics._compile.cache_info().misses
     other = MS4Frame(names, Relation.total(4), Relation.identity(4))
     assert validities(other, pool) == (True, False, False, False)
-    assert len(programs) == 6
-    assert programs[3:] == programs[:3]
+    assert validities_on([frame, other], pool) == [(True, False, False, False)] * 2
+    assert [(count, width) for _, count, width in programs[3:]] == [
+        (1, 256), (1, 1024), (1, 2816), (2, 256), (2, 1024), (2, 2816)
+    ]
+    assert [program for program, _, _ in programs[3:]] == ran + ran
     assert semantics._compile.cache_info().misses == misses
+
+
+# --- batches --------------------------------------------------------------------
+# `validities_on` against one `validities` search per frame.  Its frames are
+# grouped by layout and each group cut into batches of _BATCH_BITS bits on the
+# first block: four frames of four points under two or three letters.
+
+LANG_OF = {"int": INT, "ms4": MODAL}
+FRAMES_OF = {
+    kind: [frame for frame in SMALL_FRAMES + FOUR_POINT_FRAMES if frame.kind == kind]
+    for kind in LANG_OF
+}
+
+
+def per_frame(frames, pool) -> list[tuple[bool, ...]]:
+    return [validities(frame, pool) for frame in frames]
+
+
+def recorded_searches(monkeypatch) -> list:
+    """Record the batch size of every `_search` from here on."""
+    sizes = []
+    search = semantics._search
+
+    def recorded(frames, *args):
+        sizes.append(len(frames))
+        return search(frames, *args)
+
+    monkeypatch.setattr(semantics, "_search", recorded)
+    return sizes
+
+
+def test_validities_on_matches_validities_on_the_translation_pools():
+    # Every int and ms4 frame of at most four points, one call per pool.
+    for kind, frames in FRAMES_OF.items():
+        pool = TRANSLATION_POOLS[LANG_OF[kind]]
+        assert validities_on(frames, pool) == per_frame(frames, pool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(LANG_OF)),
+    chosen=st.lists(st.integers(0, 2**32), min_size=1, max_size=24),
+    drawn=DRAWN,
+    picks=PICKS,
+)
+def test_validities_on_matches_validities_on_drawn_pools(kind, chosen, drawn, picks):
+    frames = [FRAMES_OF[kind][i % len(FRAMES_OF[kind])] for i in chosen]
+    pool = drawn_pool(LANG_OF[kind], drawn, picks)
+    assert validities_on(frames, pool) == per_frame(frames, pool)
+
+
+def test_validities_on_matches_validities_across_blocks():
+    # Three letters over at least 7 sets: at least two blocks, on every
+    # layout group of the frames of at most four points, a sample of each.
+    rng = random.Random(29)
+    for group in layout_groups(SMALL_FRAMES + FOUR_POINT_FRAMES):
+        lang = LANG_OF[group[0].kind]
+        space = upsets(group[0].r) if lang == INT else subsets(group[0].n)
+        if len(space) < 7:
+            continue
+        frames = group[:: 1 + len(group) // 12]
+        pool = [random_formula(rng, ("p", "q", "r"), 3, lang) for _ in range(6)]
+        assert validities_on(frames, pool) == per_frame(frames, pool)
+
+
+def test_validities_on_frames_drop_out_at_different_blocks(monkeypatch):
+    # Three letters on four points: 4,096 valuations in blocks of 256, 1,024
+    # and 2,816, where p is the empty set, one of the sets 1-4 and one of
+    # the sets 5-15 in characteristic order.  `q | r` fails in the first
+    # block everywhere; the second formula fails there where some point has
+    # an e-successor that is not an r-successor, and otherwise first where p
+    # holds every r-successor of some point, which takes the set of p into
+    # the second or the third block.
+    pool = [parse(text, MODAL) for text in ("q | r", "(box q -> forall q) & ~ box p")]
+    space = subsets(4)
+
+    def last_block(frame) -> int:
+        # The block that refutes the frame's last formula; `q | r` reads no
+        # p, and p is empty throughout the first block.
+        sets = [
+            space.index(dict(countermodel(frame, phi).valuation.masks).get("p", 0))
+            for phi in pool
+        ]
+        return 0 if max(sets) == 0 else 1 if max(sets) <= 4 else 2
+
+    by_block: dict[int, list] = {}
+    for frame in FRAMES_OF["ms4"]:
+        if frame.n == 4:
+            by_block.setdefault(last_block(frame), []).append(frame)
+    batch = [by_block[2][0], by_block[0][0], by_block[1][0], by_block[2][1]]
+    expected = per_frame(batch, pool)
+    assert expected == [(False, False)] * 4
+    runs = []
+    run = semantics._run
+
+    def recorded(program, frames, width, inputs):
+        runs.append((program, len(frames), width))
+        return run(program, frames, width, inputs)
+
+    monkeypatch.setattr(semantics, "_run", recorded)
+    assert validities_on(batch, pool) == expected
+    # One batch of four frames runs all three blocks, the later ones on the
+    # program of the second formula alone.
+    assert [(count, width) for _, count, width in runs] == [(4, 256), (4, 1024), (4, 2816)]
+    survivor = semantics._compile((pool[1],))[0]
+    assert runs[1][0] is survivor and runs[2][0] is survivor
+
+
+def test_validities_on_splits_a_group_under_the_bit_budget(monkeypatch):
+    # Two letters on four points: 256 valuations, 1,024 bits per frame, so
+    # ten frames of one layout are searched in batches of 4, 4 and 2.  Int
+    # frames whose order no other frame of the call has are groups of one,
+    # each searched alone.
+    frames = [frame for frame in FRAMES_OF["ms4"] if frame.n == 4][5:15]
+    lone = [group[0] for group in layout_groups(FRAMES_OF["int"])][-3:]
+    pools = (TRANSLATION_POOLS[MODAL], TRANSLATION_POOLS[INT])
+    expected = [per_frame(frames, pools[0]), per_frame(lone, pools[1])]
+    sizes = recorded_searches(monkeypatch)
+    assert validities_on(frames, pools[0]) == expected[0]
+    assert sizes == [4, 4, 2]
+    assert validities_on(lone, pools[1]) == expected[1]
+    assert sizes[3:] == [1, 1, 1]
+
+
+def test_validities_on_an_int_group_with_one_order_and_different_q(monkeypatch):
+    # Int frames share a layout when their r is the same, whatever their q:
+    # the largest such group reads `forall` and `exists` over different q.
+    group = max(layout_groups(FRAMES_OF["int"]), key=len)
+    assert len({frame.s for frame in group}) == len(group) >= 4
+    pools = (TRANSLATION_POOLS[INT], IRREGULAR_POOLS[INT])
+    expected = [per_frame(group, pool) for pool in pools]
+    assert all(len(set(answers)) > 1 for answers in expected)
+    sizes = recorded_searches(monkeypatch)
+    assert [validities_on(group, pool) for pool in pools] == expected
+    assert len(sizes) < 2 * len(group)
 
 
 # --- block-level oracle ---------------------------------------------------------
@@ -648,21 +814,29 @@ def letter_rows(layout, letters, n: int, base: int, width: int) -> dict:
     }
 
 
-def assert_blocks_match_rows(frame, pool) -> list[int]:
-    """On every block of the pool's search space on `frame`, the packed
-    letter inputs and every slot's packed value, unpacked, equal the rows of
-    the numbering and of `rows_run`.  Returns the block widths."""
+def assert_blocks_match_rows(frames, pool) -> list[int]:
+    """On every block of the pool's search space on a batch of `frames`
+    that share one layout, the packed letter inputs and every slot's packed
+    value, unpacked frame by frame, equal the rows of the numbering and of
+    `rows_run` on that frame.  Returns the block widths."""
     program, _, letters = semantics._compile(tuple(pool))
-    n = frame.n
-    layout = semantics._layout(n, len(letters), frame.r if frame.kind == "int" else None)
-    relations = {"r": frame.r.successors, "s": frame.s.successors}
+    n = frames[0].n
+    layout = semantics._layout(n, len(letters), frames[0].r if frames[0].kind == "int" else None)
     widths = []
     for base, width, inputs in semantics._blocks(letters, layout):
         rows = {name: unpack(value, n, width) for name, value in inputs.items()}
         assert rows == letter_rows(layout, letters, n, base, width)
-        expected = rows_run(program, relations, n, rows, (1 << width) - 1)
-        got = semantics._run(program, frame, width, inputs)
-        assert [unpack(value, n, width) for value in got] == expected
+        # Frame j's point x owns the field at bit (j * n + x) * width.
+        size = n * width
+        repeat = mask_of(j * size for j in range(len(frames)))
+        got = semantics._run(
+            program, frames, width, {name: value * repeat for name, value in inputs.items()}
+        )
+        for j, frame in enumerate(frames):
+            relations = {"r": frame.r.successors, "s": frame.s.successors}
+            expected = rows_run(program, relations, n, rows, (1 << width) - 1)
+            assert [unpack(value >> j * size, n, width) for value in got] == expected
+        assert all(value >> len(frames) * size == 0 for value in got)
         widths.append(width)
     assert sum(widths) == layout[1]
     return widths
@@ -670,32 +844,42 @@ def assert_blocks_match_rows(frame, pool) -> list[int]:
 
 def test_blocks_match_rows_on_the_translation_pools():
     # Two letters: each search is one block, on every frame of at most three
-    # points and a sample of the four-point ones.
-    for frame in SMALL_FRAMES + FOUR_POINT_FRAMES[::20]:
-        pool = TRANSLATION_POOLS[INT if isinstance(frame, IntFrame) else MODAL]
-        assert len(assert_blocks_match_rows(frame, pool)) == 1
+    # points and a sample of the four-point ones, in batches of up to 8
+    # frames of one layout.
+    for group in layout_groups(SMALL_FRAMES + FOUR_POINT_FRAMES[::20]):
+        pool = TRANSLATION_POOLS[INT if isinstance(group[0], IntFrame) else MODAL]
+        for start in range(0, len(group), 8):
+            assert len(assert_blocks_match_rows(group[start : start + 8], pool)) == 1
 
 
 @settings(max_examples=60, deadline=None)
-@given(frame=st.sampled_from(SMALL_FRAMES + FOUR_POINT_FRAMES), drawn=DRAWN, picks=PICKS)
-def test_blocks_match_rows_on_drawn_pools(frame, drawn, picks):
+@given(
+    frame=st.sampled_from(SMALL_FRAMES + FOUR_POINT_FRAMES),
+    drawn=DRAWN,
+    picks=PICKS,
+    others=st.lists(st.integers(0, 2**32), max_size=3),
+)
+def test_blocks_match_rows_on_drawn_pools(frame, drawn, picks, others):
+    # A batch of the drawn frame and up to three others of its layout.
     pool = drawn_pool(INT if isinstance(frame, IntFrame) else MODAL, drawn, picks)
-    assert_blocks_match_rows(frame, pool)
+    assert_blocks_match_rows(batch_of(frame, others), pool)
 
 
 def test_blocks_match_rows_across_blocks():
     # Three letters over at least 7 sets: at least two blocks, the last one
     # narrower than the schedule's width (512 = 256 + 256 on three points,
-    # 4,096 = 256 + 1,024 + 2,816 on four).
+    # 4,096 = 256 + 1,024 + 2,816 on four).  Every other batch adds a frame
+    # of the same layout.
     rng = random.Random(23)
     narrower = set()
-    for frame in SMALL_FRAMES + FOUR_POINT_FRAMES[::16]:
+    for index, frame in enumerate(SMALL_FRAMES + FOUR_POINT_FRAMES[::16]):
         lang = INT if isinstance(frame, IntFrame) else MODAL
         space = upsets(frame.r) if lang == INT else subsets(frame.n)
         if len(space) < 7:
             continue
         pool = [random_formula(rng, ("p", "q", "r"), 3, lang) for _ in range(4)]
-        widths = assert_blocks_match_rows(frame, pool + [parse("p | q | r", lang)])
+        batch = batch_of(frame, [index] if index % 2 else [])
+        widths = assert_blocks_match_rows(batch, pool + [parse("p | q | r", lang)])
         assert len(widths) >= 2
         narrower.add(tuple(widths))
     assert (256, 256) in narrower and (256, 1024, 2816) in narrower
@@ -774,7 +958,7 @@ def test_irregular_frames_match_the_oracles(raw, tmp_path):
                 assign = dict(zip(letters, combo))
                 valuation = Valuation.from_masks(frame, assign)
                 assert truth_set(frame, valuation, phi) == oracle_truth(frame, assign, phi)
-        assert_blocks_match_rows(frame, pool)
+        assert_blocks_match_rows([frame], pool)
 
 
 class TestValiditiesContract:
@@ -803,16 +987,50 @@ class TestValiditiesContract:
         with pytest.raises(BoundExceeded, match="budget"):
             validities(frame, pool, letter_cap=4)
 
-    # The three entry points, each called on one formula: all of them check
-    # their limits in the one search, before any block is evaluated.
+    def test_batches_answer_in_input_order(self):
+        # Sizes and orders interleaved: the answers come back per frame, in
+        # the order the frames were given, whatever the batches.
+        frames = FRAMES_OF["int"][::-3] + FRAMES_OF["int"][1::3]
+        random.Random(31).shuffle(frames)
+        pool = TRANSLATION_POOLS[INT]
+        assert validities_on(frames, pool) == per_frame(frames, pool)
+
+    MIXED = [FRAMES_OF["ms4"][7], FRAMES_OF["int"][3], FRAMES_OF["ms4"][0]]
+
+    def test_batches_of_mixed_kinds_on_no_formula(self):
+        # No formula, no language: one empty answer per frame.
+        assert validities_on(self.MIXED, []) == [(), (), ()]
+
+    def test_batches_of_mixed_kinds_on_one_language(self, no_evaluation):
+        # A pool of one language is refused on the first frame of the other
+        # kind, before any frame of either kind is evaluated.
+        with pytest.raises(ValueError, match="int frames evaluate int formulas"):
+            validities_on(self.MIXED, [letter("p", MODAL)])
+
+    def test_batches_of_no_frames(self):
+        assert validities_on([], TRANSLATION_POOLS[INT]) == []
+
+    def test_batches_refuse_the_wrong_language(self, two_point_frame, no_evaluation):
+        with pytest.raises(ValueError, match="int frames evaluate int formulas"):
+            validities_on([two_point_frame], [letter("p", MODAL)])
+
+    # The four entry points, each called on one formula: all of them check
+    # their limits before any block is evaluated; `validities_on` first
+    # gets a one-point frame within every limit, so it checks the limits of
+    # every frame before its first batch.
     ONE_FORMULA = pytest.mark.parametrize(
         "check",
         [
             countermodel,
             frame_validates,
             lambda frame, phi, **caps: validities(frame, [phi], **caps),
+            lambda frame, phi, **caps: validities_on(
+                [type(frame)(("o",), Relation.identity(1), Relation.identity(1)), frame],
+                [phi],
+                **caps,
+            ),
         ],
-        ids=["countermodel", "frame_validates", "validities"],
+        ids=["countermodel", "frame_validates", "validities", "validities_on"],
     )
 
     @ONE_FORMULA
