@@ -173,7 +173,7 @@ def _run_grz_finite(bound: int) -> tuple[int, list[str]]:
     for n in range(1, bound + 1):
         names = tuple(f"x{i}" for i in range(n))
         identity = Relation.identity(n)
-        orders = list(quasi_orders(n))
+        orders = quasi_orders(n)
         frames = [MS4Frame(names, rel, identity) for rel in orders]
         for rel, (by_validity,) in zip(orders, semantics.validities_on(frames, (grz,))):
             instances += 1
@@ -237,7 +237,7 @@ def _run_translation(bound: int) -> tuple[int, list[str]]:
     frames = _enumerate("ms4", bound)
     # Each distinct quotient is decided once per run, keyed by its rows
     # (`_quotient_key`), since quotients of one shape differ in point names.
-    quotients: dict[tuple, object] = {}
+    quotients: dict[tuple, IntFrame] = {}
     keys = []
     for frame in frames:
         quotient, _ = skeleton(frame)
