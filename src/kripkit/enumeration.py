@@ -20,15 +20,16 @@ The distinct keys, sorted, spell out the class representatives.  Class
 frames of one size share one `Relation` per distinct row tuple, so what a
 relation keeps (converse, successors, loops, both-ways part) is derived once
 for all of them.  The unfiltered classes of each (kind, size) are computed
-once per process; filters apply afterwards, each named once in `FILTERS`
-with the frame kind it applies to and its test.
+once per process; filters apply afterwards, in name order, each named once
+in `FILTERS` with the frame kind it applies to and its test, which answers
+for the whole list of frames at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import permutations
+from itertools import compress, permutations
 from operator import eq, itemgetter
 
 from . import semantics, syntax
@@ -47,15 +48,16 @@ MAX_ENUM_POINTS = 5
 CANONICAL_MAX = 7
 
 
-def _casari_image_valid(frame) -> bool:
+def _casari_image_valid(frames) -> list[bool]:
     translated = syntax.corpus("casari_translated")[0]
-    return semantics.frame_validates(frame, translated)
+    return [valid for (valid,) in semantics.validities_on(frames, (translated,))]
 
 
-# Each logic filter: the frame kind it applies to, and its test.
+# Each logic filter: the frame kind it applies to, and its test, which
+# answers for a list of frames with one bool per frame.
 FILTERS = {
-    "m_plus": ("int", has_clean_clusters),
-    "mgrz": ("ms4", is_finite_mgrz),
+    "m_plus": ("int", lambda frames: list(map(has_clean_clusters, frames))),
+    "mgrz": ("ms4", lambda frames: list(map(is_finite_mgrz, frames))),
     "m_plus_grz": ("ms4", _casari_image_valid),
 }
 # First byte of a canonical key, per frame kind.
@@ -238,10 +240,7 @@ def enumerate_frames(config: EnumerationConfig) -> list:
     """Frames of the requested kind with 1..max_points points, one per
     isomorphism class, filtered and deterministically ordered by size then
     canonical form."""
-    tests = [FILTERS[name][1] for name in sorted(config.filters)]
-    return [
-        frame
-        for n in range(1, config.max_points + 1)
-        for frame in _classes(config.kind, n)
-        if all(test(frame) for test in tests)
-    ]
+    frames = [frame for n in range(1, config.max_points + 1) for frame in _classes(config.kind, n)]
+    for name in sorted(config.filters):
+        frames = list(compress(frames, FILTERS[name][1](frames)))
+    return frames

@@ -150,11 +150,11 @@ def _run_counterexample(bound: int) -> tuple[int, list[str]]:
 
 def _run_clean_casari(bound: int) -> tuple[int, list[str]]:
     casari = syntax.corpus("monadic_casari")[0]
+    frames = _enumerate("int", bound)
     instances = 0
     failures = []
-    for frame in _enumerate("int", bound):
+    for frame, (valid,) in zip(frames, semantics.validities_on(frames, (casari,))):
         instances += 1
-        valid = semantics.frame_validates(frame, casari)
         clean = has_clean_clusters(frame)
         if valid != clean:
             failures.append(
@@ -324,15 +324,17 @@ def _run_lifting(bound: int) -> tuple[int, list[str]]:
 
 def _run_companion_witness(bound: int) -> tuple[int, list[str]]:
     translated = syntax.corpus("casari_translated")[0]
+    frames = _enumerate("int", bound, "m_plus")
+    expansions = [sigma(frame) for frame in frames]
+    answers = semantics.validities_on(expansions, (translated,))
     instances = 0
     failures = []
-    for frame in _enumerate("int", bound, "m_plus"):
+    for frame, expansion, (valid,) in zip(frames, expansions, answers):
         instances += 1
-        expansion = sigma(frame)
         if not is_finite_mgrz(expansion):
             failures.append(f"{_frame_label(frame)}: expansion has a proper r-cluster")
             continue
-        if not semantics.frame_validates(expansion, translated):
+        if not valid:
             failures.append(
                 f"{_frame_label(frame)}: expansion refutes the translated casari formula"
             )

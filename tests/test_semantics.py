@@ -26,7 +26,6 @@ from kripkit.semantics import (
     subsets,
     truth_set,
     upsets,
-    validities,
     validities_on,
 )
 from kripkit.syntax import (
@@ -469,7 +468,7 @@ def test_countermodel_matches_per_valuation_oracle(frame, letters, depth, seed):
 
 
 # --- formula pools --------------------------------------------------------------
-# `validities` against one `countermodel` search per formula.
+# `validities_on` on one frame against one `countermodel` search per formula.
 
 
 def _one_by_one(frame, pool) -> tuple[bool, ...]:
@@ -520,7 +519,7 @@ def batch_of(frame, picks) -> list:
 def test_validities_match_countermodel_on_the_translation_pools():
     for frame in SMALL_FRAMES + FOUR_POINT_FRAMES[::40]:
         pool = TRANSLATION_POOLS[INT if isinstance(frame, IntFrame) else MODAL]
-        assert validities(frame, pool) == _one_by_one(frame, pool)
+        assert validities_on([frame], pool)[0] == _one_by_one(frame, pool)
 
 
 POOL_LETTERS = ((), ("p",), ("q",), ("p", "q"))
@@ -549,7 +548,7 @@ def drawn_pool(lang, drawn, picks) -> tuple:
 def test_validities_match_countermodel_on_drawn_pools(frame, drawn, picks):
     pool = drawn_pool(INT if isinstance(frame, IntFrame) else MODAL, drawn, picks)
     expected = _one_by_one(frame, pool)
-    assert validities(frame, pool) == expected
+    assert validities_on([frame], pool)[0] == expected
     assert tuple(frame_validates(frame, phi) for phi in pool) == expected
 
 
@@ -565,7 +564,7 @@ def test_validities_match_countermodel_across_blocks():
         layout = semantics._layout(frame.n, 3, frame.r if lang == INT else None)
         assert len(list(semantics._blocks(("p", "q", "r"), layout))) >= 2
         pool = [random_formula(rng, ("p", "q", "r"), 3, lang) for _ in range(8)]
-        assert validities(frame, pool) == _one_by_one(frame, pool)
+        assert validities_on([frame], pool)[0] == _one_by_one(frame, pool)
 
 
 def test_validities_recompile_the_survivors_between_blocks(monkeypatch):
@@ -592,7 +591,7 @@ def test_validities_recompile_the_survivors_between_blocks(monkeypatch):
         return run(program, frames, width, inputs)
 
     monkeypatch.setattr(semantics, "_run", recorded)
-    assert validities(frame, pool) == (True, False, False, False)
+    assert validities_on([frame], pool)[0] == (True, False, False, False)
     # Each block after a refutation runs the cached program of the formulas
     # still holding, in pool order, which is shorter.
     assert [(count, width) for _, count, width in programs] == [(1, 256), (1, 1024), (1, 2816)]
@@ -605,7 +604,7 @@ def test_validities_recompile_the_survivors_between_blocks(monkeypatch):
     # batch with the first frame.
     misses = semantics._compile.cache_info().misses
     other = MS4Frame(names, Relation.total(4), Relation.identity(4))
-    assert validities(other, pool) == (True, False, False, False)
+    assert validities_on([other], pool)[0] == (True, False, False, False)
     assert validities_on([frame, other], pool) == [(True, False, False, False)] * 2
     assert [(count, width) for _, count, width in programs[3:]] == [
         (1, 256), (1, 1024), (1, 2816), (2, 256), (2, 1024), (2, 2816)
@@ -615,7 +614,7 @@ def test_validities_recompile_the_survivors_between_blocks(monkeypatch):
 
 
 # --- batches --------------------------------------------------------------------
-# `validities_on` against one `validities` search per frame.  Its frames are
+# `validities_on` against one search per frame.  Its frames are
 # grouped by layout and each group cut into batches of _BATCH_BITS bits on the
 # first block: four frames of four points under two or three letters.
 
@@ -627,7 +626,7 @@ FRAMES_OF = {
 
 
 def per_frame(frames, pool) -> list[tuple[bool, ...]]:
-    return [validities(frame, pool) for frame in frames]
+    return [validities_on([frame], pool)[0] for frame in frames]
 
 
 def recorded_searches(monkeypatch) -> list:
@@ -950,7 +949,7 @@ def test_irregular_frames_match_the_oracles(raw, tmp_path):
         for phi, first in zip(pool, expected):
             found = countermodel(frame, phi)
             assert (None if found is None else (found.valuation.masks, found.point)) == first
-        assert validities(frame, pool) == tuple(first is None for first in expected)
+        assert validities_on([frame], pool)[0] == tuple(first is None for first in expected)
         space = upsets(frame.r) if lang == INT else subsets(frame.n)
         for phi in pool:
             letters = phi.letters()
@@ -963,11 +962,11 @@ def test_irregular_frames_match_the_oracles(raw, tmp_path):
 
 class TestValiditiesContract:
     def test_empty_pool(self, two_point_frame):
-        assert validities(two_point_frame, []) == ()
+        assert validities_on([two_point_frame], []) == [()]
 
     def test_mixed_languages_are_a_value_error(self, two_point_frame):
         with pytest.raises(ValueError):
-            validities(two_point_frame, [letter("p", INT), letter("p", MODAL)])
+            validities_on([two_point_frame], [letter("p", INT), letter("p", MODAL)])
 
     @pytest.fixture
     def no_evaluation(self, monkeypatch):
@@ -977,15 +976,12 @@ class TestValiditiesContract:
         monkeypatch.setattr(semantics, "_run", refuse)
 
     def test_pool_letters_over_the_cap(self, two_point_frame, no_evaluation):
-        # Each formula reads one letter; the pool reads four, for the letter
-        # cap and for the budget (64^4 valuations on 6 points).
+        # Each formula reads one letter; the pool reads four.  At the default
+        # caps no pool reaches the budget: at most 64^3 = 2^18 valuations.
         pool = [parse(name) for name in ("p", "q", "r", "s")]
         with pytest.raises(BoundExceeded, match="pool has 4 letters"):
-            validities(two_point_frame, pool)
-        frame = MS4Frame(tuple("uvwxyz"), chain_poset(6), Relation.total(6))
-        pool = [letter(name, MODAL) for name in ("p", "q", "r", "s")]
-        with pytest.raises(BoundExceeded, match="budget"):
-            validities(frame, pool, letter_cap=4)
+            validities_on([two_point_frame], pool)
+        assert 64**3 <= VALUATION_BUDGET
 
     def test_batches_answer_in_input_order(self):
         # Sizes and orders interleaved: the answers come back per frame, in
@@ -1014,23 +1010,22 @@ class TestValiditiesContract:
         with pytest.raises(ValueError, match="int frames evaluate int formulas"):
             validities_on([two_point_frame], [letter("p", MODAL)])
 
-    # The four entry points, each called on one formula: all of them check
+    # The three entry points, each called on one formula: all of them check
     # their limits before any block is evaluated; `validities_on` first
     # gets a one-point frame within every limit, so it checks the limits of
-    # every frame before its first batch.
+    # every frame before its first batch.  It checks the default caps, which
+    # only `countermodel` and `frame_validates` let a caller raise.
     ONE_FORMULA = pytest.mark.parametrize(
         "check",
         [
             countermodel,
             frame_validates,
-            lambda frame, phi, **caps: validities(frame, [phi], **caps),
-            lambda frame, phi, **caps: validities_on(
+            lambda frame, phi: validities_on(
                 [type(frame)(("o",), Relation.identity(1), Relation.identity(1)), frame],
                 [phi],
-                **caps,
             ),
         ],
-        ids=["countermodel", "frame_validates", "validities", "validities_on"],
+        ids=["countermodel", "frame_validates", "validities_on"],
     )
 
     @ONE_FORMULA
@@ -1041,11 +1036,14 @@ class TestValiditiesContract:
             check(two_point_frame, parse("p & q & r & s"))
 
     @ONE_FORMULA
-    def test_frame_over_the_point_cap(self, check, three_point_frame, no_evaluation):
-        with pytest.raises(BoundExceeded, match="3 points"):
-            check(three_point_frame, parse("p -> p"), point_cap=2)
+    def test_frame_over_the_point_cap(self, check, no_evaluation):
+        # Seven points, one over the default cap.
+        n = 7
+        frame = IntFrame(tuple(f"x{i}" for i in range(n)), chain_poset(n), chain_poset(n))
+        with pytest.raises(BoundExceeded, match="7 points"):
+            check(frame, parse("p -> p"))
 
-    @ONE_FORMULA
+    @pytest.mark.parametrize("check", [countermodel, frame_validates])
     def test_space_over_the_valuation_budget(self, check, no_evaluation):
         # 64 subsets of 6 points, four letters: 2^24 valuations.
         n = 6

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kripkit
-from kripkit import cli, morphisms, workbench
+from kripkit import cli, morphisms, semantics, syntax, workbench
 from kripkit.cli import main
 from kripkit.enumeration import FILTERS, EnumerationConfig, enumerate_frames
 from kripkit.frames import (
@@ -27,10 +27,13 @@ from kripkit.frames import (
     MS4Frame,
     Relation,
     frame_to_json_dict,
+    has_clean_clusters,
+    is_finite_mgrz,
     validate_int_frame,
 )
 from kripkit.functors import sigma, skeleton
-from kripkit.semantics import validities
+from kripkit.morphisms import FrameMap, is_reduction
+from kripkit.semantics import frame_validates, validities_on
 from kripkit.syntax import corpus, godel_translate, parse, print_formula, star_translate
 from kripkit.workbench import (
     EXPERIMENTS,
@@ -188,7 +191,7 @@ def translation_frame_by_frame(pool, images, bound: int) -> tuple[int, list[str]
     failures = []
     for frame in enumerate_frames(EnumerationConfig("ms4", bound)):
         quotient, _ = skeleton(frame)
-        answers = zip(pool, validities(quotient, pool), validities(frame, images))
+        answers = zip(pool, validities_on([quotient], pool)[0], validities_on([frame], images)[0])
         for phi, direct, translated in answers:
             instances += 1
             if direct != translated:
@@ -213,6 +216,79 @@ def test_translation_matches_the_frame_by_frame_loop(monkeypatch, shift):
     # Compared as a flag: pytest's diff of two long fingerprints takes minutes.
     same = run_experiment("translation", 3).fingerprint() == oracle.fingerprint()
     assert same, "the experiment and the frame-by-frame loop report differently"
+
+
+def casari_frame_by_frame(casari, bound: int) -> dict[str, tuple[int, list[str]]]:
+    """The clean-casari and companion-witness loops as they were before each
+    decided all its frames in one search: one `frame_validates` per frame."""
+    frames = enumerate_frames(EnumerationConfig("int", bound))
+    clean_failures = []
+    for frame in frames:
+        valid = frame_validates(frame, casari)
+        clean = has_clean_clusters(frame)
+        if valid != clean:
+            clean_failures.append(
+                f"{workbench._frame_label(frame)}: casari-valid={valid} clean-clusters={clean}"
+            )
+    translated = godel_translate(casari)
+    clean_frames = enumerate_frames(EnumerationConfig("int", bound, frozenset({"m_plus"})))
+    witness_failures = []
+    for frame in clean_frames:
+        label = workbench._frame_label(frame)
+        expansion = sigma(frame)
+        if not is_finite_mgrz(expansion):
+            witness_failures.append(f"{label}: expansion has a proper r-cluster")
+            continue
+        if not frame_validates(expansion, translated):
+            witness_failures.append(f"{label}: expansion refutes the translated casari formula")
+            continue
+        quotient, _ = skeleton(expansion)
+        witness = FrameMap(quotient, frame, tuple(range(frame.n)))
+        if quotient != frame or not is_reduction(witness):
+            witness_failures.append(f"{label}: identity is not a reduction of the quotient")
+    return {
+        "clean-casari": (len(frames), clean_failures),
+        "companion-witness": (len(clean_frames), witness_failures),
+    }
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["forall((p -> forall p) -> forall p) -> forall p", "p | ~ p"],
+    ids=["casari", "excluded-middle"],
+)
+def test_casari_checks_match_the_frame_by_frame_loop(monkeypatch, text):
+    # Excluded middle in place of the Casari formula holds only where r is
+    # the identity, so both experiments fail on some frames and the failure
+    # lists are compared too.
+    casari = parse(text)
+    corpus = syntax.corpus
+    replaced = {"monadic_casari": [casari], "casari_translated": [godel_translate(casari)]}
+    monkeypatch.setattr(syntax, "corpus", lambda name: replaced.get(name) or corpus(name))
+    expected = casari_frame_by_frame(casari, 4)
+    modal_count = len(enumerate_frames(EnumerationConfig("ms4", 4)))
+    assert all(failures for _, failures in expected.values()) == (text == "p | ~ p")
+    calls = []
+
+    def counted(frames, formulas):
+        calls.append(len(frames))
+        return validities_on(frames, formulas)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("frame_validates was called")
+
+    monkeypatch.setattr(semantics, "validities_on", counted)
+    monkeypatch.setattr(semantics, "frame_validates", refused)
+    for experiment_id, (instances, failures) in expected.items():
+        experiment = EXPERIMENTS[experiment_id]
+        oracle = ExperimentReport(experiment.id, experiment.anchor, instances, tuple(failures), 0)
+        same = run_experiment(experiment_id, 4).fingerprint() == oracle.fingerprint()
+        assert same, f"{experiment_id} and the frame-by-frame loop report differently"
+        assert calls == [instances]
+        calls.clear()
+    # The m_plus_grz filter decides every ms4 frame in one search too.
+    enumerate_frames(EnumerationConfig("ms4", 4, frozenset({"m_plus_grz"})))
+    assert calls == [modal_count]
 
 
 def test_translation_pools_are_built_once():
