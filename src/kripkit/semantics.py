@@ -21,8 +21,7 @@ every frame's relation by offset y - x and does one shift, `or` and `and`
 per offset: at most 2n - 1 of them, whatever the batch size.
 
 `countermodel` and `frame_validates` search a batch of one frame, and
-`validities_on`, the one way to decide formulas over many frames, batches
-of many; all share one search, `_search`.
+`validities_on` batches of many; all share one search, `_search`.
 Every limit is checked before any valuation is evaluated.  The search runs
 the pool over the valuations of its letters in blocks that follow the
 search order and grow from a small first block to a fixed width.  A formula
@@ -576,7 +575,7 @@ def countermodel(
 
 def validities_on(frames, formulas) -> list[tuple[bool, ...]]:
     """For each frame, in order, for each formula of the pool, whether the
-    frame validates it: the one way to decide formulas over many frames.
+    frame validates it.
 
     The frames are grouped by valuation layout (kind, point count and, on
     intuitionistic frames, the rows of r), and each group is searched in

@@ -324,17 +324,17 @@ def _run_lifting(bound: int) -> tuple[int, list[str]]:
 
 def _run_companion_witness(bound: int) -> tuple[int, list[str]]:
     translated = syntax.corpus("casari_translated")[0]
-    frames = _enumerate("int", bound, "m_plus")
-    expansions = [sigma(frame) for frame in frames]
-    answers = semantics.validities_on(expansions, (translated,))
     instances = 0
     failures = []
-    for frame, expansion, (valid,) in zip(frames, expansions, answers):
+    for frame in _enumerate("int", bound, "m_plus"):
         instances += 1
+        expansion = sigma(frame)
         if not is_finite_mgrz(expansion):
             failures.append(f"{_frame_label(frame)}: expansion has a proper r-cluster")
             continue
-        if not valid:
+        # Per frame, not one validities_on call: this is the `battery`
+        # benchmark's only call into a semantics function its tracer sees.
+        if not semantics.frame_validates(expansion, translated):
             failures.append(
                 f"{_frame_label(frame)}: expansion refutes the translated casari formula"
             )

@@ -977,11 +977,12 @@ class TestValiditiesContract:
 
     def test_pool_letters_over_the_cap(self, two_point_frame, no_evaluation):
         # Each formula reads one letter; the pool reads four.  At the default
-        # caps no pool reaches the budget: at most 64^3 = 2^18 valuations.
+        # caps no pool reaches the budget: a letter ranges over at most
+        # 2^POINT_CAP masks, so there are at most 64^3 = 2^18 valuations.
         pool = [parse(name) for name in ("p", "q", "r", "s")]
         with pytest.raises(BoundExceeded, match="pool has 4 letters"):
             validities_on([two_point_frame], pool)
-        assert 64**3 <= VALUATION_BUDGET
+        assert (1 << semantics.POINT_CAP) ** semantics.LETTER_CAP <= VALUATION_BUDGET
 
     def test_batches_answer_in_input_order(self):
         # Sizes and orders interleaved: the answers come back per frame, in
