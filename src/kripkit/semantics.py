@@ -602,8 +602,9 @@ def validities_on(frames, formulas) -> list[tuple[bool, ...]]:
             batch = group[start : start + step]
             held = _search([frames[i] for i in batch], formulas, checked)[0]
             # Frame j of the batch holds a root when bit j of its mask is set.
+            masks = [held.get(slot, 0) for slot in slots]
             for j, index in enumerate(batch):
-                out[index] = tuple([held.get(slot, 0) >> j & 1 == 1 for slot in slots])
+                out[index] = tuple([mask >> j & 1 == 1 for mask in masks])
     return out
 
 
