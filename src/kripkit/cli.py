@@ -22,7 +22,14 @@ from functools import cache
 
 from . import syntax
 from .enumeration import EnumerationConfig, enumerate_frames
-from .frames import FRAME_TYPES, MAX_POINTS, Frame, frame_to_json_dict, validate_frame
+from .frames import (
+    FRAME_TYPES,
+    MAX_POINTS,
+    Frame,
+    frame_to_json_dict,
+    frames_to_json_lines,
+    validate_frame,
+)
 from .functors import sigma, skeleton
 from .morphisms import enumerate_reductions
 from .semantics import LANGUAGE, countermodel
@@ -36,9 +43,6 @@ from .workbench import (
 
 _FORCED_LETTER_CAP = 8
 _WITNESS_DISPLAY_CAP = 5
-# The one-line JSON form of `enumerate`, which `json.dumps` would build anew
-# for every frame.
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
 def _print_json(payload) -> None:
@@ -146,8 +150,7 @@ def _cmd_enumerate(args) -> int:
     if args.json:
         _print_json([frame_to_json_dict(f) for f in frames_found])
     else:
-        encode = _COMPACT.encode
-        sys.stdout.write("".join([encode(frame_to_json_dict(f)) + "\n" for f in frames_found]))
+        sys.stdout.write(frames_to_json_lines(frames_found))
     return 0
 
 

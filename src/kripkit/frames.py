@@ -27,6 +27,7 @@ MAX_POINTS.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, Iterable
@@ -519,6 +520,35 @@ def frame_to_json_dict(frame: Frame) -> dict:
         "R": _json_pairs(frame.r),
         frame.second.upper(): _json_pairs(frame.s),
     }
+
+
+# The one-line JSON form's encoder, which `json.dumps` would build anew on
+# every call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def frames_to_json_lines(frames: list[Frame]) -> str:
+    """Each frame's `frame_to_json_dict` form as one compact JSON line.
+
+    Enumerated frames share their point tuples and relations, so each
+    distinct one is encoded once per call and its text spliced into every
+    line that holds it.  The texts are keyed by `id`: the list keeps every
+    keyed object alive until the call returns."""
+    encode = _COMPACT.encode
+    texts: dict[int, str] = {}
+    lines = []
+    for frame in frames:
+        points, r, s = frame.points, frame.r, frame.s
+        if id(points) not in texts:
+            texts[id(points)] = encode(points)
+        for rel in (r, s):
+            if id(rel) not in texts:
+                texts[id(rel)] = encode(_json_pairs(rel))
+        lines.append(
+            f'{{"kind":"{frame.kind}","points":{texts[id(points)]},'
+            f'"R":{texts[id(r)]},"{frame.second.upper()}":{texts[id(s)]}}}\n'
+        )
+    return "".join(lines)
 
 
 def _relation_from_json(n: int, pairs, label: str) -> Relation:

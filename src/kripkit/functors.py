@@ -48,9 +48,11 @@ def skeleton(frame: MS4Frame) -> tuple[IntFrame, QuotientMap]:
     """Quotient a modal frame by its r-clusters.
 
     Classes are ordered by their smallest member and named by joining member
-    names with "+".  The quotient order holds between classes when their
-    representatives are r-related; the coarse relation holds when an r-step
-    followed by an e-step connects them.  The projection's `source` equals
+    names with "+"; while an earlier class has that name, "'" is appended
+    (points a, b and a+b with the cluster {a, b} give classes a+b and a+b').
+    The quotient order holds between classes when their representatives are
+    r-related; the coarse relation holds when an r-step followed by an
+    e-step connects them.  The projection's `source` equals
     `frame` but may be an equal frame passed earlier.
     """
     if not isinstance(frame, MS4Frame):
@@ -72,10 +74,13 @@ def skeleton(frame: MS4Frame) -> tuple[IntFrame, QuotientMap]:
         tuple(_image_of(rel.rows[x] & at_reps, class_index) for x in reps)
         for rel in (frame.r, qe(frame.r, frame.e))
     )
-    names = tuple(
-        "+".join(frame.points[i] for i in members) for members in classes
-    )
-    quotient = IntFrame(names, Relation(m, r_rows), Relation(m, q_rows))
+    names: list[str] = []
+    for members in classes:
+        name = "+".join(frame.points[i] for i in members)
+        while name in names:
+            name += "'"
+        names.append(name)
+    quotient = IntFrame(tuple(names), Relation(m, r_rows), Relation(m, q_rows))
     return quotient, QuotientMap(frame, quotient, tuple(class_index), classes)
 
 

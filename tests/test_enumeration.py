@@ -16,6 +16,7 @@ relations, each once.
 """
 
 import hashlib
+import json
 from functools import cache
 from itertools import permutations
 from math import factorial
@@ -23,8 +24,10 @@ from math import factorial
 import pytest
 
 from kripkit.cli import main
+from kripkit import frames as frames_module
 from kripkit.enumeration import (
     CANONICAL_MAX,
+    FILTERS,
     MAX_ENUM_POINTS,
     EnumerationConfig,
     _classes,
@@ -41,6 +44,8 @@ from kripkit.frames import (
     IntFrame,
     MS4Frame,
     Relation,
+    frame_to_json_dict,
+    frames_to_json_lines,
     has_clean_clusters,
     is_finite_mgrz,
     qe,
@@ -364,19 +369,72 @@ def test_order_classes_are_canonical_with_their_automorphisms():
             assert count == len(labeled(n))
 
 
-# `kripkit enumerate --kind K --bound 5` stdout, as the labeled dedup path
-# printed it.
+# `kripkit enumerate --kind K --bound 5 [...]` stdout: the two unfiltered
+# outputs as the labeled dedup path printed them, the rest as each line was
+# printed by encoding the frame's `frame_to_json_dict` form on its own.
 BOUND_5_SHA256 = {
     "int": "a636581ef164e1914eb0a513b4d86c401f859ba2f208f33ba17c33f166367ece",
     "ms4": "8897fde20a0540780d23b6f415cf9dd89eef23739c6a3d38f6127ba461279126",
+    "int --filter m_plus": "f0d12720d4eb2eff4d5ca04f2557a91d60e4994d062c0f66c5c0ae73ab5b0b0e",
+    "ms4 --filter mgrz": "613e9d6fb81a54253be64cbe6d0c66b56caf729d214a361717849804ddfd09db",
+    "ms4 --filter m_plus_grz": "962c9b2ef3d5905e65d3226afef1e58eeaa5e2b407dde03c02d0be3a0b93b7ae",
+    "int --json": "c9ef3ed84eea0ebc47e0143127cfbd8e20704741ebfa9fa798cdd1cbaa887d31",
+    "ms4 --json": "6deb3679a2aebcfe39be145b9fe32ccec5243e84c1e563b8dc85eb6c2c26364e",
 }
 
 
-@pytest.mark.parametrize("kind", ["int", "ms4"])
-def test_bound_5_output_is_unchanged(kind, capsys):
-    assert main(["enumerate", "--kind", kind, "--bound", "5"]) == 0
+@pytest.mark.parametrize("config", BOUND_5_SHA256)
+def test_bound_5_output_is_unchanged(config, capsys):
+    kind, *rest = config.split()
+    assert main(["enumerate", "--kind", kind, "--bound", "5", *rest]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == BOUND_5_SHA256[kind]
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUND_5_SHA256[config]
+
+
+def one_line(frame) -> str:
+    """The oracle: one frame's JSON form, encoded on its own."""
+    return json.dumps(frame_to_json_dict(frame), separators=(",", ":")) + "\n"
+
+
+def test_json_lines_match_per_frame_encoding():
+    # Every class frame at bound 5, and each filter's frames at bound 4.
+    configs = [EnumerationConfig(kind, 5) for kind in ("int", "ms4")] + [
+        EnumerationConfig(kind, 4, frozenset({name}))
+        for name, (kind, _) in FILTERS.items()
+    ]
+    for config in configs:
+        frames = enumerate_frames(config)
+        lines = frames_to_json_lines(frames).splitlines(keepends=True)
+        assert lines == [one_line(f) for f in frames]
+
+
+def test_json_lines_escape_point_names():
+    names = ('"', "\\", "\u00e9", "a\tb")
+    order = Relation.from_pairs(4, [(i, i) for i in range(4)] + [(0, 1), (2, 3)])
+    frames = [
+        IntFrame(names, order, order),
+        MS4Frame(names[::-1], order, Relation.total(4)),
+        IntFrame(names, order, Relation.total(4)),
+        IntFrame(("\n",), Relation.total(1), Relation.total(1)),
+    ]
+    text = frames_to_json_lines(frames)
+    assert text.isascii()
+    assert text.splitlines(keepends=True) == [one_line(f) for f in frames]
+
+
+def test_json_lines_encode_each_relation_once(monkeypatch):
+    frames = enumerate_frames(EnumerationConfig("ms4", 4))
+    calls = []
+
+    def counted(rel):
+        calls.append(rel)
+        return pairs(rel)
+
+    pairs = frames_module._json_pairs
+    monkeypatch.setattr(frames_module, "_json_pairs", counted)
+    frames_to_json_lines(frames)
+    relations = {id(rel) for f in frames for rel in (f.r, f.s)}
+    assert len(calls) == len(relations) == 58
 
 
 @pytest.mark.parametrize("kind", ["int", "ms4"])

@@ -76,6 +76,14 @@ class TestSkeleton:
         assert quotient.points == ("a", "b+c")
         assert quotient.q.pairs() == [(0, 0), (1, 0), (1, 1)]
 
+    def test_clashing_class_names_get_primes(self):
+        # The cluster {a, b} is named a+b, which the point a+b already is.
+        r = Relation.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
+        frame = MS4Frame(("a", "b", "a+b"), r, Relation.identity(3))
+        quotient, _ = skeleton(frame)
+        assert quotient.points == ("a+b", "a+b'")
+        assert validate_int_frame(quotient).ok
+
     def test_quotient_always_valid(self):
         for frame in enumerate_frames(EnumerationConfig("ms4", 3)):
             quotient, _ = skeleton(frame)

@@ -548,6 +548,16 @@ def test_cli_translate(capsys):
     assert payload["godel"] == "box(box p -> box q)"
 
 
+def test_cli_skeleton_of_a_frame_with_clashing_class_names(tmp_path, capsys):
+    r = Relation.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
+    path = frame_file(tmp_path, MS4Frame(("a", "b", "a+b"), r, Relation.identity(3)))
+    assert main(["check-frame", path]) == 0
+    assert capsys.readouterr().out == "ok: all frame conditions hold\n"
+    assert main(["skeleton", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["frame"]["points"] == ["a+b", "a+b'"]
+
+
 def test_cli_skeleton_and_sigma(tmp_path, capsys, three_point_frame):
     int_path = frame_file(tmp_path, three_point_frame, "int.json")
     modal_path = frame_file(tmp_path, sigma(three_point_frame), "modal.json")
