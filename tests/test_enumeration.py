@@ -23,8 +23,8 @@ from math import factorial
 
 import pytest
 
-from kripkit.cli import main
 from kripkit import frames as frames_module
+from kripkit.cli import main
 from kripkit.enumeration import (
     CANONICAL_MAX,
     FILTERS,
