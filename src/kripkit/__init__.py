@@ -16,8 +16,10 @@ The package is organized around five layers:
   scripted experiments with reproducible reports, and the command line.
 
 The names below state the paper's claims or serve the experiments and the
-command line; test oracles such as `find_isomorphism`, `canonical_form` and
-`desugar` stay in their modules, and `max_points` lives in the tests.
+command line.  `canonical_form`, `desugar` and `find_isomorphism` (the
+first reduction between frames of one size, not a search of its own) serve
+the tests and the benchmark and stay in their modules; `max_points` lives in
+the tests.
 """
 
 from .syntax import (

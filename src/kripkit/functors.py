@@ -5,6 +5,8 @@ frame whose coarse relation records an r-step followed by an e-step.
 `sigma` goes the other way, expanding an intuitionistic frame into a modal
 one by taking the q-cluster equivalence.  On frames without proper clusters
 the two constructions invert each other up to isomorphism.
+`find_isomorphism`, kept for the tests, is the first reduction between two
+frames of one size that the map search in `morphisms` finds.
 
 Both constructions are memoized, `MEMO_SIZE` frames each (least recently
 used first out).  That is safe because frames are frozen and hashed by
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .frames import IntFrame, MS4Frame, Relation, er, qe
-from .morphisms import FrameMap, _image_of, is_ms4_morphism
+from .morphisms import FrameMap, _image_of, enumerate_reductions, is_ms4_morphism
 
 MEMO_SIZE = 1024
 
@@ -113,51 +115,13 @@ def sigma(frame: IntFrame) -> MS4Frame:
 
 def find_isomorphism(a, b) -> tuple[int, ...] | None:
     """First bijection (in lexicographic order of the image tuple) matching
-    both relations in both directions, or None."""
+    both relations in both directions, or None.  That is the first
+    reduction between the frames viewed as modal frames, a view that skips
+    the int converse condition, which a raw int frame need not meet.  Frames
+    over `REDUCTION_SOURCE_CAP` points raise `BoundExceeded`."""
     if a.kind != b.kind:
         raise ValueError("frames must be of the same kind")
     if a.n != b.n:
         return None
-    rels_a = (a.r, a.s)
-    rels_b = (b.r, b.s)
-
-    def signature(rels, x):
-        return tuple(
-            (rel.rows[x].bit_count(), rel.converse().rows[x].bit_count()) for rel in rels
-        )
-
-    inv_a = [signature(rels_a, x) for x in range(a.n)]
-    inv_b = [signature(rels_b, x) for x in range(b.n)]
-    if sorted(inv_a) != sorted(inv_b):
-        return None
-    n = a.n
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(x: int) -> bool:
-        if x == n:
-            return True
-        for y in range(n):
-            if used[y] or inv_a[x] != inv_b[y]:
-                continue
-            ok = all(
-                ra.has(x, x) == rb.has(y, y)
-                and all(
-                    ra.has(x, z) == rb.has(y, image[z])
-                    and ra.has(z, x) == rb.has(image[z], y)
-                    for z in range(x)
-                )
-                for ra, rb in zip(rels_a, rels_b)
-            )
-            if ok:
-                image[x] = y
-                used[y] = True
-                if extend(x + 1):
-                    return True
-                image[x] = -1
-                used[y] = False
-        return False
-
-    if extend(0):
-        return tuple(image)
-    return None
+    found = enumerate_reductions(*(MS4Frame(x.points, x.r, x.s) for x in (a, b)))
+    return found[0].image if found else None

@@ -608,13 +608,8 @@ def validities_on(frames, formulas) -> list[tuple[bool, ...]]:
     return out
 
 
-def frame_validates(
-    frame,
-    phi: syntax.Formula,
-    *,
-    letter_cap: int = LETTER_CAP,
-    point_cap: int = POINT_CAP,
-) -> bool:
-    """True when every admissible valuation makes `phi` true everywhere."""
-    checked = _limits(frame, (phi,), letter_cap, point_cap)
+def frame_validates(frame, phi: syntax.Formula) -> bool:
+    """True when every admissible valuation makes `phi` true everywhere;
+    the default caps and VALUATION_BUDGET are checked first."""
+    checked = _limits(frame, (phi,), LETTER_CAP, POINT_CAP)
     return bool(_search((frame,), (phi,), checked)[0])

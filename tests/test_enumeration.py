@@ -269,9 +269,7 @@ def dedup_oracle(kind: str, bound: int) -> tuple:
 FILTER_CHECKS = {
     "m_plus": has_clean_clusters,
     "mgrz": is_finite_mgrz,
-    "m_plus_grz": lambda f: frame_validates(
-        f, corpus("casari_translated")[0], point_cap=f.n
-    ),
+    "m_plus_grz": lambda f: frame_validates(f, corpus("casari_translated")[0]),
 }
 
 
@@ -508,9 +506,7 @@ def test_translated_casari_filter_is_semantic():
     filtered = enumerate_frames(
         EnumerationConfig(kind="ms4", max_points=3, filters=frozenset({"m_plus_grz"}))
     )
-    assert filtered == [
-        f for f in plain if frame_validates(f, translated, point_cap=f.n)
-    ]
+    assert filtered == [f for f in plain if frame_validates(f, translated)]
 
 
 def test_the_semantic_filter_needs_no_point_cap_override():

@@ -1,11 +1,15 @@
 """Quotient and expansion constructions, and frame isomorphism search."""
 
+import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from kripkit.enumeration import EnumerationConfig, enumerate_frames
+from kripkit.enumeration import EnumerationConfig, canonical_form, enumerate_frames
 from kripkit.frames import (
+    BoundExceeded,
     IntFrame,
     MS4Frame,
     Relation,
@@ -35,6 +39,43 @@ def relabel(frame, perm):
     if isinstance(frame, IntFrame):
         return IntFrame(tuple(names), move(frame.r), move(frame.q))
     return MS4Frame(tuple(names), move(frame.r), move(frame.e))
+
+
+def shuffled(frame, seed):
+    """`frame` relabeled by a permutation drawn from `seed`."""
+    return relabel(frame, random.Random(seed).sample(range(frame.n), frame.n))
+
+
+def isomorphism_oracle(a, b):
+    """The first permutation, in lexicographic order, whose pair images
+    are exactly the other frame's pairs for both relations."""
+    if a.n != b.n:
+        return None
+    wanted = [(rel.pairs(), set(other.pairs())) for rel, other in ((a.r, b.r), (a.s, b.s))]
+    for perm in permutations(range(a.n)):
+        if all({(perm[i], perm[j]) for i, j in pairs} == target for pairs, target in wanted):
+            return perm
+    return None
+
+
+@st.composite
+def raw_frames(draw, kind, n=None):
+    """A frame of `kind` with at most 4 points (`n` if given) and arbitrary
+    relations: not checked against the frame conditions."""
+    n = n or draw(st.integers(1, 4))
+    rows = st.tuples(*(st.integers(0, (1 << n) - 1),) * n)
+    r, s = (Relation(n, draw(rows)) for _ in range(2))
+    frame_type = IntFrame if kind == "int" else MS4Frame
+    return frame_type(tuple(f"p{i}" for i in range(n)), r, s)
+
+
+@st.composite
+def raw_frame_pairs(draw):
+    """A raw frame, its relabeling, and another raw frame of its kind and size."""
+    kind = draw(st.sampled_from(["int", "ms4"]))
+    a = draw(raw_frames(kind))
+    perm = draw(st.permutations(range(a.n)))
+    return a, relabel(a, perm), draw(raw_frames(kind, a.n))
 
 
 @pytest.fixture
@@ -241,6 +282,47 @@ class TestFindIsomorphism:
     def test_kind_mismatch(self, two_point_frame, cluster_frame):
         with pytest.raises(ValueError):
             find_isomorphism(two_point_frame, cluster_frame)
+
+    def test_kind_is_checked_before_size(self, three_point_frame, cluster_frame):
+        with pytest.raises(ValueError, match="^frames must be of the same kind$"):
+            find_isomorphism(three_point_frame, cluster_frame)
+
+    def test_raw_int_frame_needs_no_converse_condition(self):
+        # R;Q = Q fails here, so the int search's converse condition refuses
+        # the identity; an isomorphism need not meet it.
+        frame = IntFrame(("a", "b"), Relation.from_pairs(2, [(0, 1)]), Relation.identity(2))
+        assert find_isomorphism(frame, frame) == (0, 1)
+
+    def test_seven_points_exceed_the_search_cap(self):
+        n = 7
+        frame = MS4Frame(tuple(f"x{i}" for i in range(n)), Relation.total(n), Relation.total(n))
+        with pytest.raises(BoundExceeded):
+            find_isomorphism(frame, frame)
+
+    @pytest.mark.parametrize("kind", ["int", "ms4"])
+    def test_class_frames_match_the_oracle(self, kind):
+        classes = enumerate_frames(EnumerationConfig(kind, 3))
+        frames = classes + [shuffled(f, f"{kind}-{i}") for i, f in enumerate(classes)]
+        for a in frames:
+            for b in frames:
+                assert find_isomorphism(a, b) == isomorphism_oracle(a, b)
+
+    @given(raw_frame_pairs())
+    def test_raw_frames_match_the_oracle(self, frames):
+        a, relabeled, other = frames
+        for b in (relabeled, other):
+            assert find_isomorphism(a, b) == isomorphism_oracle(a, b)
+
+    @pytest.mark.parametrize("kind", ["int", "ms4"])
+    def test_none_exactly_when_canonical_forms_differ(self, kind):
+        by_size: dict[int, list] = {}
+        for i, frame in enumerate(enumerate_frames(EnumerationConfig(kind, 4))):
+            key = canonical_form(frame)
+            by_size.setdefault(frame.n, []).append((frame, key, shuffled(frame, f"{kind}-{i}")))
+        for group in by_size.values():
+            for a, key_a, _ in group:
+                for _, key_b, b in group:
+                    assert (find_isomorphism(a, b) is None) == (key_a != key_b)
 
     def test_enumerated_frames_pairwise_distinct(self):
         frames = enumerate_frames(EnumerationConfig("int", 3))
